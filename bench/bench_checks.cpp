@@ -12,7 +12,7 @@
 #include "BenchCommon.h"
 #include "env/Environment.h"
 #include "ir/Builder.h"
-#include "perf/Evaluator.h"
+#include "perf/Runner.h"
 #include "transforms/PostTransformChecks.h"
 
 #include <benchmark/benchmark.h>
@@ -52,7 +52,7 @@ AgentAction validRandomAction(Rng &R, const EnvConfig &Config) {
 /// variants replay bitwise-identical episodes.
 void episodeBench(benchmark::State &State, bool Checks) {
   Module M = chainModule();
-  CostModelEvaluator Eval(MachineModel::xeonE5_2680v4());
+  Runner Eval(MachineModel::xeonE5_2680v4());
   EnvConfig Config = EnvConfig::laptop();
   Config.PostTransformChecks = Checks;
   uint64_t Steps = 0;

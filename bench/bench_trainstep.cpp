@@ -14,6 +14,7 @@
 #include "env/Environment.h"
 #include "nn/Gemm.h"
 #include "nn/Ops.h"
+#include "perf/Runner.h"
 #include "support/Rng.h"
 
 #include <benchmark/benchmark.h>
@@ -84,7 +85,7 @@ void BM_ImmediateStepIncremental(benchmark::State &State) {
   EnvConfig Config = EnvConfig::laptop();
   Config.Reward = RewardMode::Immediate;
   Config.Incremental = State.range(0) != 0;
-  CostModelEvaluator Eval(MachineModel::xeonE5_2680v4());
+  Runner Eval(MachineModel::xeonE5_2680v4());
 
   Rng ModuleRng(21);
   std::vector<Module> Samples;

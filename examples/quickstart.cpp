@@ -104,8 +104,8 @@ int main(int Argc, char **Argv) {
               Run.speedup(M, Hand));
 
   // -- 3. Random search over the environment's action space. ----------------
-  RandomSearchResult Best =
-      randomSearch(EnvConfig::laptop(), Run, M, /*Episodes=*/50);
+  RandomSearchResult Best = randomSearch(
+      RolloutEngine(EnvConfig::laptop(), Run), M, /*Episodes=*/50);
   std::printf("random search (50 episodes) -> speedup %.1fx\n",
               Best.Speedup);
 

@@ -91,21 +91,11 @@ fi
 # is > 0 and that incremental stepping actually ran (nests materialized
 # << ops x steps), so the ScheduleState path cannot silently regress to
 # the from-scratch fallback. Also cross-checks the incremental price
-# against the from-scratch oracle bitwise, and asserts the packed-GEMM
-# scratch arena reaches steady state (repeated packed calls reuse the
-# "gemm.pack_arena" block -- at most one allocation, then hits only --
-# so the packed path cannot silently regress to per-call malloc).
+# against the from-scratch oracle bitwise. (GEMM has no smoke of its
+# own: the call shape alone decides streaming vs packed, and GemmTest
+# checks both drivers and the pack arena in the suite above and, under
+# ASan/UBSan, in the --sanitize=address pass.)
 ./build/example_perf_smoke
-
-# --- GEMM dispatch smoke check --------------------------------------------
-# Cross-checks the dispatched GEMM micro-kernel (SIMD where the build
-# has one) against the portable scalar fallback at runtime on the CI
-# machine itself: double AND float, NN/NT/TN, streaming AND packed
-# macro-kernel paths, tail-heavy shapes, bitwise comparison. Double
-# parity is what the bitwise-deterministic training contract rides on;
-# float parity covers the f32 greedy inference path; packed parity is
-# the packing-is-pure-layout contract.
-./build/example_gemm_smoke
 
 # --- Striped-memo smoke check ---------------------------------------------
 # The memo micro-bench in smoke mode: hammers the lock-striped shared
@@ -158,17 +148,12 @@ if [[ "$sanitize" == address ]]; then
   ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
     ./build-san/example_fuzz_smoke --inputs 2000 --episodes 50 \
     --corpus "$fuzz_corpus"
-  # The SIMD micro-kernels under ASan+UBSan (vector loads/stores and
-  # the tail delegation are exactly where an out-of-bounds lane read
-  # would hide). The packed cross-check runs here too, which makes ASan
-  # the pack-arena leak gate: LeakSanitizer fails this invocation if a
-  # pack-scratch allocation outlives its thread's arena, and a panel
-  # overrun past the padded row stride is an immediate heap-overflow
-  # report.
-  ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
-    ./build-san/example_gemm_smoke
-  # Pack-arena steady state under the sanitized build as well (the
-  # reuse counters are asserted inside).
+  # The incremental fast path under the sanitized build as well. (The
+  # SIMD micro-kernels, both GEMM drivers and the pack arena run under
+  # ASan+UBSan in GemmTest, part of the suite above: a vector lane read
+  # out of bounds or a panel overrun past the padded row stride is an
+  # immediate report, and LeakSanitizer fails the test binary if a
+  # pack-scratch allocation outlives its thread's arena.)
   ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
     ./build-san/example_perf_smoke
   # The serving path under the sanitizers (reduced request count): the

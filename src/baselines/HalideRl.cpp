@@ -2,18 +2,7 @@
 
 #include "baselines/HalideRl.h"
 
-#include "rl/RolloutEngine.h"
-
 using namespace mlirrl;
-
-HalideRlBaseline::HalideRlBaseline(MachineModel Machine)
-    : OwnedEval(std::make_unique<CostModelEvaluator>(Machine)),
-      Eval(*OwnedEval) {}
-
-HalideRlBaseline::HalideRlBaseline(Evaluator &Eval) : Eval(Eval) {}
-
-HalideRlBaseline::HalideRlBaseline(const RolloutEngine &Engine)
-    : Eval(Engine.evaluator()) {}
 
 std::vector<HalideDirectives> HalideRlBaseline::directiveCandidates() {
   std::vector<HalideDirectives> Candidates;
@@ -38,7 +27,7 @@ HalideRlBaseline::bestDirectives(const Module &M, unsigned OpIdx,
   bool First = true;
   for (const HalideDirectives &D : directiveCandidates()) {
     LoopNest Nest = applyHalideDirectives(M, OpIdx, D);
-    double T = Eval.timeNests({Nest});
+    double T = Run.timeNests({Nest});
     if (First || T < BestTime) {
       Best = D;
       BestTime = T;

@@ -17,29 +17,15 @@
 #define MLIRRL_BASELINES_HALIDERL_H
 
 #include "baselines/ScheduleUtil.h"
-#include "perf/Evaluator.h"
-
-#include <memory>
+#include "perf/Runner.h"
 
 namespace mlirrl {
-
-class RolloutEngine;
 
 /// The Halide RL baseline.
 class HalideRlBaseline {
 public:
-  /// Owns a CostModelEvaluator over \p Machine (the common case).
-  explicit HalideRlBaseline(MachineModel Machine);
-
-  /// Measures through an external evaluator (e.g. a CachingEvaluator
-  /// shared with the RL system for like-for-like comparisons). \p Eval
-  /// must outlive the baseline.
-  explicit HalideRlBaseline(Evaluator &Eval);
-
-  /// Binds to \p Engine's evaluator, so the baseline prices through the
-  /// exact memoized seam the RL rollouts use (like-for-like speedups
-  /// and shared memo hits). \p Engine must outlive the baseline.
-  explicit HalideRlBaseline(const RolloutEngine &Engine);
+  /// Prices through its own noise-free Runner over \p Machine.
+  explicit HalideRlBaseline(MachineModel Machine) : Run(Machine) {}
 
   /// Best-of-directive-list time for one module (ops scheduled
   /// independently, like per-stage Halide schedules).
@@ -53,9 +39,8 @@ public:
                                   double *BestSeconds = nullptr) const;
 
 private:
-  /// Set when constructed from a MachineModel; Eval points at it then.
-  std::unique_ptr<CostModelEvaluator> OwnedEval;
-  Evaluator &Eval;
+  /// Thread-safe, so the const queries may price through it.
+  mutable Runner Run;
 };
 
 } // namespace mlirrl

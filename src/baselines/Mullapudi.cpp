@@ -3,24 +3,12 @@
 #include "baselines/Mullapudi.h"
 
 #include "perf/WorkingSet.h"
-#include "rl/RolloutEngine.h"
 
 using namespace mlirrl;
 
-MullapudiAutoscheduler::MullapudiAutoscheduler(MachineModel Machine)
-    : OwnedEval(std::make_unique<CostModelEvaluator>(Machine)),
-      Eval(*OwnedEval), Machine(Machine) {}
-
-MullapudiAutoscheduler::MullapudiAutoscheduler(Evaluator &Eval,
-                                               MachineModel Machine)
-    : Eval(Eval), Machine(Machine) {}
-
-MullapudiAutoscheduler::MullapudiAutoscheduler(const RolloutEngine &Engine,
-                                               MachineModel Machine)
-    : Eval(Engine.evaluator()), Machine(Machine) {}
-
 HalideDirectives
 MullapudiAutoscheduler::scheduleOp(const Module &M, unsigned OpIdx) const {
+  const MachineModel &Machine = Run.getCostModel().getMachine();
   // Parallelism threshold: the autoscheduler only parallelizes when the
   // pure (output) iteration space offers enough parallelism relative to
   // the machine (its grouping heuristic rejects under-parallel outer
@@ -59,7 +47,7 @@ MullapudiAutoscheduler::scheduleOp(const Module &M, unsigned OpIdx) const {
       Footprint += static_cast<double>(
           computeFootprint(A, Loops, Depth, Machine.L2.LineBytes).Bytes);
     bool Fits = Footprint <= static_cast<double>(Machine.L2.SizeBytes);
-    double T = Eval.timeNests({Nest});
+    double T = Run.timeNests({Nest});
     if (First || (Fits && Tile > BestTile) ||
         (BestTile == 0 && T < BestTime)) {
       BestTile = Fits ? Tile : BestTile;
@@ -77,7 +65,7 @@ double MullapudiAutoscheduler::timeModule(const Module &M) const {
   double Total = 0.0;
   for (unsigned I = 0; I < M.getNumOps(); ++I) {
     LoopNest Nest = applyHalideDirectives(M, I, scheduleOp(M, I));
-    Total += Eval.timeNests({Nest});
+    Total += Run.timeNests({Nest});
   }
   return Total;
 }

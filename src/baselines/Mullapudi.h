@@ -14,29 +14,16 @@
 #define MLIRRL_BASELINES_MULLAPUDI_H
 
 #include "baselines/ScheduleUtil.h"
-#include "perf/Evaluator.h"
-
-#include <memory>
+#include "perf/Runner.h"
 
 namespace mlirrl {
-
-class RolloutEngine;
 
 /// The greedy autoscheduler.
 class MullapudiAutoscheduler {
 public:
-  /// Owns a CostModelEvaluator over \p Machine (the common case).
-  explicit MullapudiAutoscheduler(MachineModel Machine);
-
-  /// Measures through an external evaluator (e.g. a CachingEvaluator
-  /// shared with the RL system). \p Eval must outlive the baseline; the
-  /// footprint heuristic still needs the machine description.
-  MullapudiAutoscheduler(Evaluator &Eval, MachineModel Machine);
-
-  /// Binds to \p Engine's evaluator (the shared memoized seam RL
-  /// rollouts price through); the footprint heuristic still needs the
-  /// machine description. \p Engine must outlive the baseline.
-  MullapudiAutoscheduler(const RolloutEngine &Engine, MachineModel Machine);
+  /// Prices through its own noise-free Runner over \p Machine, whose
+  /// description also drives the footprint heuristic.
+  explicit MullapudiAutoscheduler(MachineModel Machine) : Run(Machine) {}
 
   /// End-to-end time of the module under the autoscheduled program.
   double timeModule(const Module &M) const;
@@ -45,10 +32,8 @@ public:
   HalideDirectives scheduleOp(const Module &M, unsigned OpIdx) const;
 
 private:
-  /// Set when constructed from a MachineModel; Eval points at it then.
-  std::unique_ptr<CostModelEvaluator> OwnedEval;
-  Evaluator &Eval;
-  MachineModel Machine;
+  /// Thread-safe, so the const queries may price through it.
+  mutable Runner Run;
 };
 
 } // namespace mlirrl

@@ -109,10 +109,3 @@ RandomSearchResult mlirrl::randomSearch(const RolloutEngine &Engine,
   }
   return Best;
 }
-
-RandomSearchResult mlirrl::randomSearch(const EnvConfig &Config,
-                                        Evaluator &Eval, const Module &M,
-                                        unsigned Episodes, uint64_t Seed) {
-  RolloutEngine Engine(Config, Eval);
-  return randomSearch(Engine, M, Episodes, Seed);
-}

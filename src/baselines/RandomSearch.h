@@ -42,14 +42,6 @@ AgentAction randomAction(const Observation &Obs, const EnvConfig &Config,
 RandomSearchResult randomSearch(const RolloutEngine &Engine, const Module &M,
                                 unsigned Episodes, uint64_t Seed = 42);
 
-/// Convenience overload: builds an agent-less engine over
-/// (\p Config, \p Eval). Measures through the shared Evaluator seam
-/// (any implementation works: Runner, CostModelEvaluator, a
-/// CachingEvaluator over either).
-RandomSearchResult randomSearch(const EnvConfig &Config, Evaluator &Eval,
-                                const Module &M, unsigned Episodes,
-                                uint64_t Seed = 42);
-
 } // namespace mlirrl
 
 #endif // MLIRRL_BASELINES_RANDOMSEARCH_H

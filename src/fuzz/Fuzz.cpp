@@ -5,6 +5,7 @@
 #include "env/Environment.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
+#include "perf/Runner.h"
 #include "support/Format.h"
 #include "support/Rng.h"
 #include "transforms/PostTransformChecks.h"
@@ -430,7 +431,7 @@ FuzzStats mlirrl::runFuzzCampaign(
     const std::function<void(unsigned, const std::string &)> &InputHook) {
   FuzzStats Stats;
   ImportLimits Limits = fuzzImportLimits();
-  CostModelEvaluator Eval(MachineModel::xeonE5_2680v4());
+  Runner Eval(MachineModel::xeonE5_2680v4());
 
   // Phase 1: the gate. Keep a bounded pool of accepted modules, biased
   // toward small ones so phase 2 stays cheap.

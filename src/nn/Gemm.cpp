@@ -20,12 +20,6 @@ namespace {
 /// The pool minibatch-update GEMMs fan out over (see setGemmPool).
 std::atomic<ThreadPool *> GemmPool{nullptr};
 
-/// The kernel dispatch override (see setGemmKernel).
-std::atomic<GemmKernel> KernelKind{GemmKernel::Auto};
-
-/// The packing dispatch override (see setGemmPacking).
-std::atomic<GemmPacking> PackingMode{GemmPacking::Auto};
-
 /// Each thread that ever runs a packed GEMM -- the caller for serial
 /// calls, every pool worker for partitioned ones -- owns one arena that
 /// persists across calls, so steady-state packing allocates nothing.
@@ -37,7 +31,7 @@ AlignedArena &packArena() {
 /// Pack scratch for Elems elements of T from the calling thread's
 /// arena, accounted in the "gemm.pack_arena" registry category: a
 /// reuse of the existing block is a hit, a (re)allocation a miss.
-/// perf_smoke/CI assert the steady state is all hits.
+/// GemmTest asserts the steady state is all hits.
 template <typename T> T *packScratch(size_t Elems) {
   // named() registers on first use and returns a stable reference.
   static HitMissCounters &Counters =
@@ -51,30 +45,16 @@ template <typename T> T *packScratch(size_t Elems) {
   return static_cast<T *>(P);
 }
 
-/// Resolves the packing dispatch for one call; AutoWants is the
-/// per-shape heuristic. Like simdActive(), resolved once per public
-/// entry so one call never mixes paths across its row chunks.
-bool packingActive(bool AutoWants) {
-  switch (PackingMode.load(std::memory_order_acquire)) {
-  case GemmPacking::On:
-    return true;
-  case GemmPacking::Off:
-    return false;
-  case GemmPacking::Auto:
-    break;
-  }
-  return AutoWants;
-}
-
-/// Auto-packing heuristics. Pure speed decisions -- packed and unpacked
-/// results are bitwise-identical -- so the thresholds only need to be
-/// roughly right. NN packs once the B panel footprint outgrows L2-ish
-/// residency (streaming B unpacked is fine below that; the tiny
-/// policy-net GEMMs stay on the streaming path). NT packs aggressively:
-/// its unpacked kernel is latency-bound at ~2 GFLOP/s, so the transpose
-/// copy pays for itself on anything but trivial shapes. TN's unpacked
-/// kernel is already unit-stride over j; packing buys contiguous A
-/// groups and register-resident C rows, which needs a reasonably wide N
+/// Packing heuristics: the call shape alone decides whether a call
+/// packs, and every heuristic is false when M, N or K is 0. Pure speed
+/// decisions -- packed and unpacked results are bitwise-identical -- so
+/// the thresholds only need to be roughly right. NN packs once the B
+/// panel footprint outgrows L2-ish residency (streaming B unpacked is
+/// fine below that; the tiny policy-net GEMMs stay on the streaming
+/// path). NT packs aggressively: its unpacked kernel is latency-bound
+/// at ~2 GFLOP/s, so the transpose copy pays for itself on anything but
+/// trivial shapes. TN's unpacked kernel is already unit-stride over j;
+/// packing buys contiguous A groups, which needs a reasonably wide N
 /// and enough k-sweep to matter.
 template <typename T> bool autoPackNN(unsigned M, unsigned N, unsigned K) {
   return M >= detail::MR &&
@@ -85,17 +65,6 @@ template <typename T> bool autoPackNT(unsigned M, unsigned N, unsigned K) {
 }
 template <typename T> bool autoPackTN(unsigned M, unsigned N, unsigned K) {
   return N >= 16 && static_cast<double>(M) * K * sizeof(T) >= 256.0 * 1024.0;
-}
-
-/// Resolves the dispatch to "run the SIMD micro-kernel?" once per
-/// public entry, so one gemmAcc call never mixes kernels across its
-/// row chunks.
-bool simdActive() {
-#if MLIRRL_GEMM_HAVE_SIMD
-  return KernelKind.load(std::memory_order_acquire) != GemmKernel::Scalar;
-#else
-  return false;
-#endif
 }
 
 /// Row-partitioning threshold: below this many multiply-adds the
@@ -161,9 +130,8 @@ void gemmAccNNImpl(unsigned M, unsigned N, unsigned K, const T *A,
                    unsigned LdA, const T *B, unsigned LdB, T *C,
                    unsigned LdC) {
   assertOperands(M, N, K, A, B, C);
-  const bool Simd = simdActive();
   const double Work = static_cast<double>(M) * N * K;
-  if (M && N && K && packingActive(autoPackNN<T>(M, N, K))) {
+  if (autoPackNN<T>(M, N, K)) {
     // Each row chunk packs into its own thread's arena (pool workers
     // included), trading duplicated B-panel copies for zero sharing --
     // the fixed row partition alone determines who computes what.
@@ -174,7 +142,7 @@ void gemmAccNNImpl(unsigned M, unsigned N, unsigned K, const T *A,
       detail::gemmNNPackedSerial<T>(Rows, N, K,
                                     A + static_cast<size_t>(Row0) * LdA, LdA, B,
                                     LdB, C + static_cast<size_t>(Row0) * LdC,
-                                    LdC, Simd, Ap, Bp);
+                                    LdC, Ap, Bp);
     };
     if (!parallelOverRows(M, Work, RunRows))
       RunRows(0, M);
@@ -183,10 +151,10 @@ void gemmAccNNImpl(unsigned M, unsigned N, unsigned K, const T *A,
   bool Ran = parallelOverRows(M, Work, [&](unsigned Row0, unsigned Rows) {
     detail::gemmNNSerial<T>(Rows, N, K, A + static_cast<size_t>(Row0) * LdA,
                             LdA, B, LdB, C + static_cast<size_t>(Row0) * LdC,
-                            LdC, Simd);
+                            LdC);
   });
   if (!Ran)
-    detail::gemmNNSerial<T>(M, N, K, A, LdA, B, LdB, C, LdC, Simd);
+    detail::gemmNNSerial<T>(M, N, K, A, LdA, B, LdB, C, LdC);
 }
 
 template <typename T>
@@ -195,8 +163,7 @@ void gemmAccNTImpl(unsigned M, unsigned N, unsigned K, const T *A,
                    unsigned LdC) {
   assertOperands(M, N, K, A, B, C);
   const double Work = static_cast<double>(M) * N * K;
-  if (M && N && K && packingActive(autoPackNT<T>(M, N, K))) {
-    const bool Simd = simdActive();
+  if (autoPackNT<T>(M, N, K)) {
     auto RunRows = [&](unsigned Row0, unsigned Rows) {
       T *Scratch = packScratch<T>(detail::PackScratchElems);
       T *Bp = Scratch;
@@ -204,7 +171,7 @@ void gemmAccNTImpl(unsigned M, unsigned N, unsigned K, const T *A,
       detail::gemmNTPackedSerial<T>(Rows, N, K,
                                     A + static_cast<size_t>(Row0) * LdA, LdA, B,
                                     LdB, C + static_cast<size_t>(Row0) * LdC,
-                                    LdC, Simd, Ap, Bp);
+                                    LdC, Ap, Bp);
     };
     if (!parallelOverRows(M, Work, RunRows))
       RunRows(0, M);
@@ -227,15 +194,14 @@ void gemmAccTNImpl(unsigned M, unsigned N, unsigned K, const T *A,
   // Output rows index the columns of A (stored KxM), so a row slice
   // offsets A by columns and C by rows; LdA/LdB are unchanged.
   const double Work = static_cast<double>(M) * N * K;
-  if (M && N && K && packingActive(autoPackTN<T>(M, N, K))) {
-    const bool Simd = simdActive();
+  if (autoPackTN<T>(M, N, K)) {
     auto RunRows = [&](unsigned Row0, unsigned Rows) {
       T *Scratch = packScratch<T>(detail::PackScratchElems);
       T *Bp = Scratch;
       T *Ap = Scratch + detail::PackScratchAOffset;
       detail::gemmTNPackedSerial<T>(Rows, N, K, A + Row0, LdA, B, LdB,
                                     C + static_cast<size_t>(Row0) * LdC, LdC,
-                                    Simd, Ap, Bp);
+                                    Ap, Bp);
     };
     if (!parallelOverRows(M, Work, RunRows))
       RunRows(0, M);
@@ -259,41 +225,7 @@ ThreadPool *nn::getGemmPool() {
   return GemmPool.load(std::memory_order_acquire);
 }
 
-void nn::setGemmKernel(GemmKernel Kind) {
-  KernelKind.store(Kind, std::memory_order_release);
-}
-
-GemmKernel nn::getGemmKernel() {
-  return KernelKind.load(std::memory_order_acquire);
-}
-
-void nn::setGemmPacking(GemmPacking Mode) {
-  PackingMode.store(Mode, std::memory_order_release);
-}
-
-GemmPacking nn::getGemmPacking() {
-  return PackingMode.load(std::memory_order_acquire);
-}
-
 size_t nn::gemmPackScratchCapacity() { return packArena().capacity(); }
-
-bool nn::gemmSimdAvailable() { return MLIRRL_GEMM_HAVE_SIMD != 0; }
-
-unsigned nn::gemmSimdLanes(size_t ElemSize) {
-#if MLIRRL_GEMM_HAVE_SIMD
-  switch (ElemSize) {
-  case sizeof(float):
-    return detail::SimdTraits<float>::Lanes;
-  case sizeof(double):
-    return detail::SimdTraits<double>::Lanes;
-  default:
-    return 1;
-  }
-#else
-  (void)ElemSize;
-  return 1;
-#endif
-}
 
 void nn::gemmAccNN(unsigned M, unsigned N, unsigned K, const double *A,
                    unsigned LdA, const double *B, unsigned LdB, double *C,

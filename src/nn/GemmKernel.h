@@ -6,29 +6,22 @@
 /// instantiated for double (training; bitwise-stable) and float (the
 /// vectorized inference path).
 ///
-/// Two inner kernels exist for the NN (C += A.B) product:
-///
-///  - a portable scalar micro-kernel -- the reference semantics; the
-///    double instantiation is the pre-dtype-refactor kernel verbatim,
-///    which is what keeps the training path bitwise-identical across
-///    the refactor; and
-///  - an explicitly SIMD micro-kernel built on GNU vector extensions
-///    (32-byte generic vectors, lowered by the compiler to whatever the
-///    target has: AVX2, SSE2, NEON, or scalar code).
-///
+/// The NN (C += A.B) product runs an explicitly SIMD micro-kernel built
+/// on GNU vector extensions (32-byte generic vectors, lowered by the
+/// compiler to whatever the target has: AVX2, SSE2, NEON, or scalar
+/// code), so the kernels need GCC or Clang. Its sub-vector j tails run
+/// the portable scalar micro-kernel, the reference semantics (the
+/// double instantiation is the pre-dtype-refactor kernel verbatim).
 /// Both accumulate every C element over k in ascending order; the SIMD
 /// kernel only widens the *j* axis, where lanes are independent
-/// accumulator chains, so the two kernels are bitwise-identical on any
-/// input for both dtypes (the gemm_smoke example and GemmTest assert
-/// exact equality at runtime -- the guard against a miscompiled or
-/// misdispatched SIMD path). Which one runs is a runtime dispatch
-/// (nn::setGemmKernel); Auto resolves to SIMD where the extension
-/// exists.
+/// accumulator chains, so the two are bitwise-identical on any input
+/// for both dtypes (GemmTest asserts exact equality -- the guard
+/// against a miscompiled SIMD path).
 ///
 /// The NT (A.B^T) and TN (A^T.B) kernels are k-reduction respectively
-/// rank-1-update shaped; they keep the scalar-ordered template only
-/// (they carry the backward pass, which stays f64, and their inner
-/// loops are already unit-stride for the autovectorizer).
+/// rank-1-update shaped; their streaming forms keep the scalar-ordered
+/// template only (they carry the backward pass, which stays f64, and
+/// their inner loops are already unit-stride for the autovectorizer).
 ///
 /// On top of the streaming kernels sits the packed macro-kernel layer
 /// (GotoBLAS/BLIS structure): gemm*PackedSerial copy each KC x NC panel
@@ -37,12 +30,13 @@
 /// so every k-reduction walks contiguous memory -- and then drive the
 /// register kernels over the packed panels. Packing is a pure layout
 /// transform: every C element still accumulates the exact ascending-k
-/// sequence the unpacked kernel produces (NN reuses microNN* outright;
-/// microNTPacked* keeps the per-KC-block temporary accumulator;
-/// microTNPacked* keeps the MR-grouped sums and the exact zero-skip
-/// tests), so packed and unpacked results are required to be
-/// bitwise-identical -- GemmTest and gemm_smoke memcmp them. Whether
-/// packing runs is a second runtime dispatch (nn::setGemmPacking).
+/// sequence the unpacked kernel produces (NN reuses microNNSimd
+/// outright; microNTPacked* keeps the per-KC-block temporary
+/// accumulator; microTNPacked keeps the MR-grouped sums and the exact
+/// zero-skip tests), so packed and unpacked results are required to be
+/// bitwise-identical -- GemmTest memcmps the streaming and packed
+/// drivers. Which driver a public gemmAcc* call runs is decided by its
+/// shape alone (nn/Gemm.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,12 +45,6 @@
 
 #include <algorithm>
 #include <cstddef>
-
-#if defined(__GNUC__) || defined(__clang__)
-#define MLIRRL_GEMM_HAVE_SIMD 1
-#else
-#define MLIRRL_GEMM_HAVE_SIMD 0
-#endif
 
 namespace mlirrl {
 namespace nn {
@@ -72,7 +60,6 @@ constexpr unsigned KC = 256;
 constexpr unsigned NC = 512;
 constexpr unsigned MR = 4;
 
-#if MLIRRL_GEMM_HAVE_SIMD
 /// Generic SIMD vector of T: 32 bytes wide (4 doubles / 8 floats).
 /// 32 beats 64 measurably on AVX-512 hardware here (GCC's 64-byte
 /// lowering plus zmm frequency effects); on narrower ISAs the compiler
@@ -85,7 +72,6 @@ template <typename T> struct SimdTraits {
   static constexpr unsigned Lanes = Bytes / sizeof(T);
   typedef T Vec __attribute__((vector_size(Bytes), aligned(alignof(T))));
 };
-#endif
 
 /// Portable scalar micro-kernel for C += A.B: C rows [i0, i0+Rows) x
 /// [j0, j1) accumulate the K-panel [k0, k1). Rows <= MR; the j loop is
@@ -131,8 +117,6 @@ inline void microNNScalar(unsigned Rows, unsigned j0, unsigned j1, unsigned k0,
     break;
   }
 }
-
-#if MLIRRL_GEMM_HAVE_SIMD
 
 /// Explicit-SIMD micro-kernel: identical accumulation semantics to
 /// microNNScalar (each C element's k chain is untouched; only the j
@@ -218,7 +202,7 @@ inline void microNNSimd(unsigned Rows, unsigned j0, unsigned j1, unsigned k0,
       *reinterpret_cast<Vec *>(C3 + J) = S3;
     }
     // Sub-vector j tail: run the scalar micro-kernel itself, not a
-    // hand-written scalar loop. Bitwise identity with Scalar dispatch
+    // hand-written scalar loop. Bitwise identity with the scalar kernel
     // must not hinge on the compiler contracting two different loops
     // into the same mul/fma mix, so the tail shares the scalar kernel's
     // machine code outright.
@@ -243,14 +227,11 @@ inline void microNNSimd(unsigned Rows, unsigned j0, unsigned j1, unsigned k0,
     microNNScalar<T>(Rows, jv, j1, k0, k1, A, LdA, B, LdB, C, LdC, i0);
 }
 
-#endif // MLIRRL_GEMM_HAVE_SIMD
-
-/// Blocked serial driver for C(MxN) += A(MxK) . B(KxN); \p Simd selects
-/// the micro-kernel (resolved once at the public entry point).
+/// Blocked serial driver for C(MxN) += A(MxK) . B(KxN), streaming the
+/// operands in place.
 template <typename T>
 void gemmNNSerial(unsigned M, unsigned N, unsigned K, const T *A, unsigned LdA,
-                  const T *B, unsigned LdB, T *C, unsigned LdC, bool Simd) {
-  (void)Simd;
+                  const T *B, unsigned LdB, T *C, unsigned LdC) {
   for (unsigned Jj = 0; Jj < N; Jj += NC) {
     unsigned Jend = std::min(N, Jj + NC);
     for (unsigned Kk = 0; Kk < K; Kk += KC) {
@@ -258,21 +239,11 @@ void gemmNNSerial(unsigned M, unsigned N, unsigned K, const T *A, unsigned LdA,
       for (unsigned Ii = 0; Ii < M; Ii += MC) {
         unsigned Iend = std::min(M, Ii + MC);
         unsigned I = Ii;
-#if MLIRRL_GEMM_HAVE_SIMD
-        if (Simd) {
-          for (; I + MR <= Iend; I += MR)
-            microNNSimd<T>(MR, Jj, Jend, Kk, Kend, A, LdA, B, LdB, C, LdC, I);
-          if (I < Iend)
-            microNNSimd<T>(Iend - I, Jj, Jend, Kk, Kend, A, LdA, B, LdB, C,
-                           LdC, I);
-          continue;
-        }
-#endif
         for (; I + MR <= Iend; I += MR)
-          microNNScalar<T>(MR, Jj, Jend, Kk, Kend, A, LdA, B, LdB, C, LdC, I);
+          microNNSimd<T>(MR, Jj, Jend, Kk, Kend, A, LdA, B, LdB, C, LdC, I);
         if (I < Iend)
-          microNNScalar<T>(Iend - I, Jj, Jend, Kk, Kend, A, LdA, B, LdB, C,
-                           LdC, I);
+          microNNSimd<T>(Iend - I, Jj, Jend, Kk, Kend, A, LdA, B, LdB, C, LdC,
+                         I);
       }
     }
   }
@@ -449,9 +420,7 @@ inline void packTranspose(const T *__restrict Src, unsigned LdSrc, unsigned y0,
 template <typename T>
 void gemmNNPackedSerial(unsigned M, unsigned N, unsigned K, const T *A,
                         unsigned LdA, const T *B, unsigned LdB, T *C,
-                        unsigned LdC, bool Simd, T *__restrict Ap,
-                        T *__restrict Bp) {
-  (void)Simd;
+                        unsigned LdC, T *__restrict Ap, T *__restrict Bp) {
   constexpr unsigned Pad = packPad(sizeof(T));
   for (unsigned Jj = 0; Jj < N; Jj += NC) {
     const unsigned Jend = std::min(N, Jj + NC), NB = Jend - Jj;
@@ -465,21 +434,10 @@ void gemmNNPackedSerial(unsigned M, unsigned N, unsigned K, const T *A,
         packBlock(A, LdA, Ii, Iend, Kk, Kend, Ap, LdAp);
         T *Cb = C + static_cast<size_t>(Ii) * LdC + Jj;
         unsigned I = 0;
-#if MLIRRL_GEMM_HAVE_SIMD
-        if (Simd) {
-          for (; I + MR <= MB; I += MR)
-            microNNSimd<T>(MR, 0, NB, 0, KB, Ap, LdAp, Bp, LdBp, Cb, LdC, I);
-          if (I < MB)
-            microNNSimd<T>(MB - I, 0, NB, 0, KB, Ap, LdAp, Bp, LdBp, Cb, LdC,
-                           I);
-          continue;
-        }
-#endif
         for (; I + MR <= MB; I += MR)
-          microNNScalar<T>(MR, 0, NB, 0, KB, Ap, LdAp, Bp, LdBp, Cb, LdC, I);
+          microNNSimd<T>(MR, 0, NB, 0, KB, Ap, LdAp, Bp, LdBp, Cb, LdC, I);
         if (I < MB)
-          microNNScalar<T>(MB - I, 0, NB, 0, KB, Ap, LdAp, Bp, LdBp, Cb, LdC,
-                           I);
+          microNNSimd<T>(MB - I, 0, NB, 0, KB, Ap, LdAp, Bp, LdBp, Cb, LdC, I);
       }
     }
   }
@@ -489,9 +447,8 @@ void gemmNNPackedSerial(unsigned M, unsigned N, unsigned K, const T *A,
 /// k panel of Ap[i][k] * Bp[k][j]), one microNTDot chain per element --
 /// literally the same emitted function gemmNTSerial runs, called with
 /// the transposed panel's column stride, so the packed path is
-/// bitwise-identical by shared machine code. This form exists as the
-/// Scalar-dispatch reference and the sub-vector j tail; the SIMD form
-/// below is the fast path.
+/// bitwise-identical by shared machine code. This form is the
+/// reference semantics and runs the SIMD form's sub-vector j tails.
 template <typename T>
 inline void microNTPackedScalar(unsigned Rows, unsigned NB, unsigned KB,
                                 const T *__restrict Ap, unsigned LdAp,
@@ -504,8 +461,6 @@ inline void microNTPackedScalar(unsigned Rows, unsigned NB, unsigned KB,
       Ci[J] += microNTDot(Ai, Bp + J, LdBp, KB);
   }
 }
-
-#if MLIRRL_GEMM_HAVE_SIMD
 
 /// Packed NT micro-kernel, SIMD form. The unpacked NT kernel is
 /// latency-bound: one scalar Acc chain per (i, j) means every fma waits
@@ -617,8 +572,6 @@ inline void microNTPackedSimd(unsigned Rows, unsigned NB, unsigned KB,
   }
 }
 
-#endif // MLIRRL_GEMM_HAVE_SIMD
-
 /// Packed NT driver: C(MxN) += A(MxK) . B^T with B stored NxK. B is
 /// transpose-packed per (Jj, Kk) block -- Bp[k][j] = B[j][k] -- so the
 /// k-reduction that made the unpacked kernel crawl (LdB-strided loads,
@@ -629,9 +582,7 @@ inline void microNTPackedSimd(unsigned Rows, unsigned NB, unsigned KB,
 template <typename T>
 void gemmNTPackedSerial(unsigned M, unsigned N, unsigned K, const T *A,
                         unsigned LdA, const T *B, unsigned LdB, T *C,
-                        unsigned LdC, bool Simd, T *__restrict Ap,
-                        T *__restrict Bp) {
-  (void)Simd;
+                        unsigned LdC, T *__restrict Ap, T *__restrict Bp) {
   constexpr unsigned Pad = packPad(sizeof(T));
   for (unsigned Jj = 0; Jj < N; Jj += NC) {
     const unsigned Jend = std::min(N, Jj + NC), NB = Jend - Jj;
@@ -645,27 +596,14 @@ void gemmNTPackedSerial(unsigned M, unsigned N, unsigned K, const T *A,
         packBlock(A, LdA, Ii, Iend, Kk, Kend, Ap, LdAp);
         T *Cb = C + static_cast<size_t>(Ii) * LdC + Jj;
         unsigned I = 0;
-#if MLIRRL_GEMM_HAVE_SIMD
-        if (Simd) {
-          for (; I + MR <= MB; I += MR)
-            microNTPackedSimd<T>(MR, NB, KB, Ap + static_cast<size_t>(I) * LdAp,
-                                 LdAp, Bp, LdBp,
-                                 Cb + static_cast<size_t>(I) * LdC, LdC);
-          if (I < MB)
-            microNTPackedSimd<T>(MB - I, NB, KB,
-                                 Ap + static_cast<size_t>(I) * LdAp, LdAp, Bp,
-                                 LdBp, Cb + static_cast<size_t>(I) * LdC, LdC);
-          continue;
-        }
-#endif
         for (; I + MR <= MB; I += MR)
-          microNTPackedScalar<T>(MR, NB, KB, Ap + static_cast<size_t>(I) * LdAp,
-                                 LdAp, Bp, LdBp,
-                                 Cb + static_cast<size_t>(I) * LdC, LdC);
+          microNTPackedSimd<T>(MR, NB, KB, Ap + static_cast<size_t>(I) * LdAp,
+                               LdAp, Bp, LdBp,
+                               Cb + static_cast<size_t>(I) * LdC, LdC);
         if (I < MB)
-          microNTPackedScalar<T>(MB - I, NB, KB,
-                                 Ap + static_cast<size_t>(I) * LdAp, LdAp, Bp,
-                                 LdBp, Cb + static_cast<size_t>(I) * LdC, LdC);
+          microNTPackedSimd<T>(MB - I, NB, KB,
+                               Ap + static_cast<size_t>(I) * LdAp, LdAp, Bp,
+                               LdBp, Cb + static_cast<size_t>(I) * LdC, LdC);
       }
     }
   }
@@ -680,11 +618,10 @@ void gemmNTPackedSerial(unsigned M, unsigned N, unsigned K, const T *A,
 /// outer, rows inner -- so the group's four B rows stay L1-hot across
 /// the whole row sweep; what packing changes is that each row's four A
 /// values come from one contiguous quad of the transpose-packed panel
-/// instead of four LdA-strided streams. One emission serves both
-/// dispatches: the j loop is an independent-lane elementwise update
-/// (not a reduction), so the compiler's vectorization of it cannot
-/// reorder any element's k chain, and Scalar/Simd dispatch sharing this
-/// function makes their bitwise identity a property of the binary.
+/// instead of four LdA-strided streams. There is no explicit SIMD form:
+/// the j loop is an independent-lane elementwise update (not a
+/// reduction), so the compiler's vectorization of it cannot reorder
+/// any element's k chain.
 template <typename T>
 inline void microTNPacked(unsigned Rows, unsigned NB, unsigned KB,
                           const T *__restrict Ap, unsigned LdAp,
@@ -733,9 +670,7 @@ inline void microTNPacked(unsigned Rows, unsigned NB, unsigned KB,
 template <typename T>
 void gemmTNPackedSerial(unsigned M, unsigned N, unsigned K, const T *A,
                         unsigned LdA, const T *B, unsigned LdB, T *C,
-                        unsigned LdC, bool Simd, T *__restrict Ap,
-                        T *__restrict Bp) {
-  (void)Simd;
+                        unsigned LdC, T *__restrict Ap, T *__restrict Bp) {
   constexpr unsigned Pad = packPad(sizeof(T));
   for (unsigned Jj = 0; Jj < N; Jj += NC) {
     const unsigned Jend = std::min(N, Jj + NC), NB = Jend - Jj;
@@ -748,9 +683,8 @@ void gemmTNPackedSerial(unsigned M, unsigned N, unsigned K, const T *A,
         const unsigned Iend = std::min(M, Ii + MC), MB = Iend - Ii;
         packTranspose(A, LdA, Kk, Kend, Ii, Iend, Ap, LdAp);
         T *Cb = C + static_cast<size_t>(Ii) * LdC + Jj;
-        // One micro-kernel for both dispatches (see microTNPacked): the
-        // TN inner loop is already the autovectorizer's best case, and
-        // a single emission keeps Scalar/Simd bitwise-equal for free.
+        // The TN inner loop is already the autovectorizer's best case
+        // (see microTNPacked).
         microTNPacked<T>(MB, NB, KB, Ap, LdAp, Bp, LdBp, Cb, LdC);
       }
     }

@@ -276,24 +276,6 @@ uint64_t mlirrl::hashLoopNest(const LoopNest &Nest) {
   return H.finish();
 }
 
-CostModel &CostModel::operator=(const CostModel &Other) {
-  if (this == &Other)
-    return *this;
-  // The memo operations stay under the settings lock: a concurrent
-  // setCacheCapacity on the destination also holds CacheMutex, so its
-  // capacity cannot be silently overwritten mid-assignment. Lock order
-  // is CacheMutex -> shard locks, same as setCacheCapacity.
-  std::scoped_lock Lock(CacheMutex, Other.CacheMutex);
-  Machine = Other.Machine;
-  CacheCapacity = Other.CacheCapacity;
-  // Mirror the copy constructor: the memo is per-instance state, and
-  // our entries priced against the machine we just replaced.
-  Memo.clear();
-  Memo.resetCounters();
-  Memo.setCapacity(CacheCapacity);
-  return *this;
-}
-
 TimeBreakdown CostModel::estimateNest(const LoopNest &Nest) const {
   // All the concurrency-sensitive LRU mechanics (re-check under the
   // insert lock, duplicate accounting, tail eviction) live in the
@@ -309,12 +291,6 @@ HitMissCounters CostModel::getCacheCounters() const {
 void CostModel::resetCacheCounters() const { Memo.resetCounters(); }
 
 void CostModel::clearCache() const { Memo.clear(); }
-
-void CostModel::setCacheCapacity(size_t Capacity) {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  CacheCapacity = Capacity == 0 ? 1 : Capacity;
-  Memo.setCapacity(CacheCapacity);
-}
 
 TimeBreakdown CostModel::computeNest(const LoopNest &Nest) const {
   double ComputeSeconds = 0.0, LoopIterations = 0.0;

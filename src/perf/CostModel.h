@@ -26,7 +26,6 @@
 #include "transforms/LoopNest.h"
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -73,28 +72,6 @@ class CostModel {
 public:
   explicit CostModel(MachineModel Machine) : Machine(Machine) {}
 
-  /// Copies share the machine description and capacity setting but not
-  /// the memo table (entries and counters start fresh). Both reads
-  /// happen under the source's lock: now that assignment can replace
-  /// Machine, an unlocked read could tear against a concurrent
-  /// `Other = ...`.
-  CostModel(const CostModel &Other) {
-    {
-      std::lock_guard<std::mutex> Lock(Other.CacheMutex);
-      Machine = Other.Machine;
-      CacheCapacity = Other.CacheCapacity;
-    }
-    Memo.setCapacity(CacheCapacity);
-  }
-  /// Same semantics as the copy constructor: takes the machine and the
-  /// capacity setting, drops our memoized entries (they priced against
-  /// the old machine) and resets the counters. Locks both sides in one
-  /// deadlock-free scoped_lock, so assigning from a model other threads
-  /// are concurrently pricing through is safe; pricing through the
-  /// *destination* during assignment is not (the machine description
-  /// itself is being replaced).
-  CostModel &operator=(const CostModel &Other);
-
   const MachineModel &getMachine() const { return Machine; }
 
   /// Estimates execution time of one scheduled nest (memoized).
@@ -115,29 +92,20 @@ public:
   /// Drops every memoized entry (counters untouched).
   void clearCache() const;
 
-  /// Maximum number of memoized schedules (LRU evicted beyond it).
-  void setCacheCapacity(size_t Capacity);
-
 private:
-  MachineModel Machine;
+  const MachineModel Machine;
 
   /// Uncached pricing (the original analytical pipeline).
   TimeBreakdown computeNest(const LoopNest &Nest) const;
 
   /// The schedule memo: the shared StripedLruMemo building block (one
-  /// shard -- exact total-capacity LRU semantics, which the eviction
-  /// tests rely on; the CachingEvaluator in front absorbs the
-  /// cross-thread traffic striping targets). It owns its own per-shard
+  /// shard -- exact total-capacity LRU semantics; the CachingEvaluator
+  /// in front absorbs the cross-thread traffic striping targets). It owns its own per-shard
   /// lock and reports under "cost_model.nest_memo" in the
   /// CacheStatsRegistry (each instance keeps its own counts; the
   /// registry aggregates; resetAll resets).
   mutable StripedLruMemo<TimeBreakdown> Memo{"cost_model.nest_memo",
                                              1u << 14, /*ShardCount=*/1};
-  /// Guards the settings (Machine, CacheCapacity) against the copy
-  /// paths; the memo's shard locks are only ever taken after (never
-  /// around) this one.
-  mutable std::mutex CacheMutex;
-  size_t CacheCapacity = 1u << 14;
 };
 
 } // namespace mlirrl

@@ -22,10 +22,11 @@
 ///    timeNests bitwise, so the two granularities are interchangeable.
 ///
 /// Implementations:
-///  * CostModelEvaluator -- the analytical cost model, undisturbed
-///    (deterministic; the training default).
-///  * Runner (perf/Runner.h) -- adds measurement noise and median-of-K
-///    runs on top of the cost model (the paper's testbed stand-in).
+///  * Runner (perf/Runner.h) -- the analytical cost model plus the
+///    testbed's measurement protocol (noise and median-of-K runs, the
+///    paper's testbed stand-in). With its default options (noise off)
+///    it returns the undisturbed model price from every entry point:
+///    the deterministic training default.
 ///  * CachingEvaluator -- a decorator memoizing whole-program prices in
 ///    front of any inner evaluator, with thread-safe hit/miss counters,
 ///    plus a per-op memo for timeState keyed by (op structural hash x
@@ -93,26 +94,6 @@ protected:
   virtual double priceDirtyOp(ScheduleState &State, unsigned OpIdx);
 };
 
-/// The analytical cost model as an Evaluator: deterministic, no noise.
-/// This is what training and the baselines measure through by default.
-class CostModelEvaluator : public Evaluator {
-public:
-  explicit CostModelEvaluator(MachineModel Machine) : Model(Machine) {}
-
-  double timeNests(const std::vector<LoopNest> &Nests) override {
-    return Model.estimateModule(Nests);
-  }
-
-  double priceNest(const LoopNest &Nest) override {
-    return Model.estimateNest(Nest).TotalSeconds;
-  }
-
-  const CostModel &getCostModel() const { return Model; }
-
-private:
-  CostModel Model;
-};
-
 /// Structural content hash of a module (op shapes, access maps,
 /// arithmetic) -- combined with a schedule hash it keys whole-program
 /// measurements.
@@ -139,9 +120,8 @@ uint64_t hashModuleSchedule(const ModuleSchedule &Sched);
 /// functions of the keys), which is the invariant DeterminismMatrixTest
 /// sweeps across CollectThreads x shard counts.
 ///
-/// Wrap only deterministic inner evaluators (CostModelEvaluator, or a
-/// Runner with noise off): caching a noisy measurement would freeze one
-/// noise draw forever.
+/// Wrap only deterministic inner evaluators (a Runner with noise off):
+/// caching a noisy measurement would freeze one noise draw forever.
 class CachingEvaluator : public Evaluator {
 public:
   explicit CachingEvaluator(Evaluator &Inner, size_t Capacity = 1u << 12,

@@ -90,17 +90,20 @@ struct PpoIterationStats {
   /// Fig. 7 wall-clock axis).
   double MeasurementSeconds = 0.0;
   /// Loop nests materialized by the iteration's environments (via the
-  /// ScheduleState transaction layer). Deterministic per seed; with
-  /// incremental stepping on it stays near one nest per effective
-  /// action instead of ops x steps.
+  /// ScheduleState transaction layer). Exact per seed only at
+  /// CollectThreads = 1: with more collector threads the shared memo's
+  /// fill order decides which ops materialize, so the count varies run
+  /// to run (the trajectory itself does not). With incremental stepping
+  /// on it stays near one nest per effective action instead of
+  /// ops x steps.
   uint64_t NestMaterializations = 0;
 };
 
 /// The trainer.
 class PpoTrainer {
 public:
-  /// Rewards are measured through \p Eval (a Runner, a
-  /// CostModelEvaluator, or a CachingEvaluator over either); it must be
+  /// Rewards are measured through \p Eval (a Runner, or a
+  /// CachingEvaluator over one); it must be
   /// thread-safe and outlive the trainer. All collector threads and all
   /// VecEnv groups share this one instance, so a lock-striped
   /// CachingEvaluator (the MlirRl default) lets concurrent episodes

@@ -108,10 +108,9 @@ TEST_F(BaselineFixture, MullapudiPicksFittingTiles) {
 TEST_F(BaselineFixture, RandomSearchFindsSpeedupAndIsDeterministic) {
   Module M = makeMatmulModule(256, 256, 256);
   Runner Run(Machine);
-  RandomSearchResult A =
-      randomSearch(EnvConfig::laptop(), Run, M, /*Episodes=*/30, 7);
-  RandomSearchResult B =
-      randomSearch(EnvConfig::laptop(), Run, M, /*Episodes=*/30, 7);
+  RolloutEngine Engine(EnvConfig::laptop(), Run);
+  RandomSearchResult A = randomSearch(Engine, M, /*Episodes=*/30, 7);
+  RandomSearchResult B = randomSearch(Engine, M, /*Episodes=*/30, 7);
   EXPECT_GT(A.Speedup, 1.5);
   EXPECT_DOUBLE_EQ(A.Speedup, B.Speedup);
   EXPECT_EQ(A.EpisodesUsed, 30u);
@@ -120,8 +119,8 @@ TEST_F(BaselineFixture, RandomSearchFindsSpeedupAndIsDeterministic) {
 TEST_F(BaselineFixture, RandomSearchScheduleReplays) {
   Module M = makeMatmulModule(256, 256, 256);
   Runner Run(Machine);
-  RandomSearchResult R =
-      randomSearch(EnvConfig::laptop(), Run, M, /*Episodes=*/20, 3);
+  RandomSearchResult R = randomSearch(RolloutEngine(EnvConfig::laptop(), Run),
+                                      M, /*Episodes=*/20, 3);
   // The returned schedule must reproduce the reported speedup.
   EXPECT_NEAR(Run.speedup(M, R.Schedule), R.Speedup, 1e-9);
 }

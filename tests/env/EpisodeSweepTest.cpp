@@ -48,7 +48,8 @@ TEST_P(ConfigSweep, RandomEpisodesTerminateWithConsistentRewards) {
 
   // Drive the episode with random masked actions via randomSearch's
   // machinery (one episode).
-  RandomSearchResult Result = randomSearch(Config, Run, M, 1, seed());
+  RandomSearchResult Result =
+      randomSearch(RolloutEngine(Config, Run), M, 1, seed());
   EXPECT_GT(Result.Speedup, 0.0);
   EXPECT_NEAR(Run.speedup(M, Result.Schedule), Result.Speedup, 1e-9);
 }

@@ -16,7 +16,7 @@
 #include "datasets/Dataset.h"
 #include "datasets/Models.h"
 #include "env/Environment.h"
-#include "perf/Evaluator.h"
+#include "perf/Runner.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -113,7 +113,7 @@ class IncrementalEquivalenceFixture
 /// evaluator: both environments of each pair measure through \p Eval,
 /// and \p Oracle cross-checks the final schedules from scratch.
 void runLockstepSweep(const Corpus &Param, Evaluator &Eval,
-                      CostModelEvaluator &Oracle) {
+                      Runner &Oracle) {
   std::vector<Module> Corpus = Param.Build();
   ASSERT_FALSE(Corpus.empty());
 
@@ -166,7 +166,7 @@ void runLockstepSweep(const Corpus &Param, Evaluator &Eval,
 } // namespace
 
 TEST_P(IncrementalEquivalenceFixture, LockstepEpisodesMatchBitwise) {
-  CostModelEvaluator Eval(MachineModel::xeonE5_2680v4());
+  Runner Eval(MachineModel::xeonE5_2680v4());
   runLockstepSweep(GetParam(), Eval, Eval);
 }
 
@@ -177,9 +177,9 @@ TEST_P(IncrementalEquivalenceFixture,
   // the per-op memo, the from-scratch path from the whole-program memo,
   // and hit-vs-miss must never change a returned price. A fresh oracle
   // (outside the memo) cross-checks the final schedules.
-  CostModelEvaluator Inner(MachineModel::xeonE5_2680v4());
+  Runner Inner(MachineModel::xeonE5_2680v4());
   CachingEvaluator Shared(Inner, /*Capacity=*/1u << 12, /*Shards=*/8);
-  CostModelEvaluator Oracle(MachineModel::xeonE5_2680v4());
+  Runner Oracle(MachineModel::xeonE5_2680v4());
   runLockstepSweep(GetParam(), Shared, Oracle);
   // The sweep actually exercised both memo tables.
   EXPECT_GT(Shared.getOpCounters().total(), 0u);

@@ -151,7 +151,7 @@ TEST(VecEnvTest, CachingEvaluatorPreservesRewardsAndCounts) {
                     /*Seed=*/14);
 
   Runner Direct(Machine);
-  CostModelEvaluator Inner(Machine);
+  Runner Inner(Machine);
   CachingEvaluator Cached(Inner);
 
   std::vector<Module> Samples = testModules();

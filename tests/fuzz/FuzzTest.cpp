@@ -12,6 +12,7 @@
 #include "fuzz/Fuzz.h"
 
 #include "perf/MachineModel.h"
+#include "perf/Runner.h"
 
 #include <filesystem>
 #include <fstream>
@@ -83,7 +84,7 @@ TEST(FuzzTest, CorpusReplays) {
   fs::path Corpus = fs::path(MLIRRL_SOURCE_DIR) / "tests" / "fuzz" / "corpus";
   ASSERT_TRUE(fs::is_directory(Corpus)) << Corpus;
 
-  CostModelEvaluator Eval(MachineModel::xeonE5_2680v4());
+  Runner Eval(MachineModel::xeonE5_2680v4());
   ImportLimits Limits; // production limits, not the tightened fuzz ones
   FuzzStats Stats;
   unsigned Files = 0, Accepted = 0;
@@ -127,7 +128,7 @@ TEST(FuzzTest, EpisodesOverAnImportedModule) {
   Expected<Module> M = importModule(Source, fuzzImportLimits());
   ASSERT_TRUE(static_cast<bool>(M)) << M.getError();
 
-  CostModelEvaluator Eval(MachineModel::xeonE5_2680v4());
+  Runner Eval(MachineModel::xeonE5_2680v4());
   FuzzStats Stats;
   for (uint64_t Seed = 1; Seed <= 10; ++Seed)
     fuzzOneEpisode(*M, Seed, Eval, 4000, Stats);

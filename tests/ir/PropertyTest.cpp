@@ -101,8 +101,8 @@ TEST_P(SeedSweep, RandomEpisodesTerminateAndReplay) {
   Runner Run(MachineModel::xeonE5_2680v4());
   Rng R(GetParam());
   Module M = generateOperatorSequence(R);
-  RandomSearchResult Result =
-      randomSearch(EnvConfig::laptop(), Run, M, /*Episodes=*/3, GetParam());
+  RandomSearchResult Result = randomSearch(
+      RolloutEngine(EnvConfig::laptop(), Run), M, /*Episodes=*/3, GetParam());
   // The best schedule replays to exactly the reported speedup.
   EXPECT_NEAR(Run.speedup(M, Result.Schedule), Result.Speedup, 1e-9);
   EXPECT_GT(Result.Speedup, 0.0);

@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "nn/Gemm.h"
+#include "nn/GemmKernel.h"
 #include "nn/Ops.h"
 #include "nn/Tensor.h"
 #include "support/Rng.h"
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -24,10 +26,10 @@ using namespace mlirrl::nn;
 
 namespace {
 
-std::vector<double> randomData(Rng &R, unsigned N) {
-  std::vector<double> V(N);
-  for (double &X : V)
-    X = R.nextDouble(-1.0, 1.0);
+template <typename T = double> std::vector<T> randomData(Rng &R, unsigned N) {
+  std::vector<T> V(N);
+  for (T &X : V)
+    X = static_cast<T>(R.nextDouble(-1.0, 1.0));
   return V;
 }
 
@@ -186,17 +188,10 @@ TEST(GemmTest, FusedLinearMatchesMatmulAddBias) {
 }
 
 //===----------------------------------------------------------------------===//
-// Dtype-parameterized kernels: float accuracy and scalar/SIMD parity.
+// Dtype-parameterized kernels: float accuracy and edge shapes.
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-std::vector<float> randomDataF(Rng &R, unsigned N) {
-  std::vector<float> V(N);
-  for (float &X : V)
-    X = static_cast<float>(R.nextDouble(-1.0, 1.0));
-  return V;
-}
 
 // Edge shapes per dimension: ones, primes, and non-multiples of the
 // MR = 4 register tile and the SIMD vector length (8 floats / 4
@@ -213,20 +208,13 @@ double floatTol(unsigned K, double Ref) {
          (1.0 + std::fabs(Ref));
 }
 
-/// Restores the dispatch mode on scope exit so a failing expectation
-/// cannot leak a forced kernel into the other tests.
-struct KernelScope {
-  GemmKernel Saved = getGemmKernel();
-  ~KernelScope() { setGemmKernel(Saved); }
-};
-
 } // namespace
 
 TEST(GemmTest, FloatNNMatchesNaiveWithinRelError) {
   Rng R(52);
   for (const Shape &S : EdgeShapes) {
-    std::vector<float> A = randomDataF(R, S.M * S.K);
-    std::vector<float> B = randomDataF(R, S.K * S.N);
+    std::vector<float> A = randomData<float>(R, S.M * S.K);
+    std::vector<float> B = randomData<float>(R, S.K * S.N);
     std::vector<float> Out(S.M * S.N, 0.0f);
     std::vector<double> Ref(S.M * S.N, 0.0);
     for (unsigned I = 0; I < S.M; ++I)
@@ -244,8 +232,8 @@ TEST(GemmTest, FloatNNMatchesNaiveWithinRelError) {
 TEST(GemmTest, FloatNTMatchesNaiveWithinRelError) {
   Rng R(53);
   for (const Shape &S : EdgeShapes) {
-    std::vector<float> A = randomDataF(R, S.M * S.K);
-    std::vector<float> B = randomDataF(R, S.N * S.K);
+    std::vector<float> A = randomData<float>(R, S.M * S.K);
+    std::vector<float> B = randomData<float>(R, S.N * S.K);
     std::vector<float> Out(S.M * S.N, 0.0f);
     std::vector<double> Ref(S.M * S.N, 0.0);
     for (unsigned I = 0; I < S.M; ++I)
@@ -263,8 +251,8 @@ TEST(GemmTest, FloatNTMatchesNaiveWithinRelError) {
 TEST(GemmTest, FloatTNMatchesNaiveWithinRelError) {
   Rng R(54);
   for (const Shape &S : EdgeShapes) {
-    std::vector<float> A = randomDataF(R, S.K * S.M);
-    std::vector<float> B = randomDataF(R, S.K * S.N);
+    std::vector<float> A = randomData<float>(R, S.K * S.M);
+    std::vector<float> B = randomData<float>(R, S.K * S.N);
     std::vector<float> Out(S.M * S.N, 0.0f);
     std::vector<double> Ref(S.M * S.N, 0.0);
     for (unsigned Kk = 0; Kk < S.K; ++Kk)
@@ -293,221 +281,234 @@ TEST(GemmTest, DoubleEdgeShapesMatchNaive) {
   }
 }
 
-TEST(GemmTest, DispatchedNNBitwiseEqualsScalarDouble) {
-  if (!gemmSimdAvailable())
-    GTEST_SKIP() << "no SIMD kernel in this build";
-  KernelScope Restore;
-  Rng R(56);
-  for (const Shape &S : EdgeShapes) {
-    std::vector<double> A = randomData(R, S.M * S.K);
-    std::vector<double> B = randomData(R, S.K * S.N);
-    // Pre-filled C checks that both kernels share the accumulate
-    // contract, not just the product.
-    std::vector<double> Cs(S.M * S.N, 0.125), Cv(S.M * S.N, 0.125);
-    setGemmKernel(GemmKernel::Scalar);
-    gemmAccNN(S.M, S.N, S.K, A.data(), S.K, B.data(), S.N, Cs.data(), S.N);
-    setGemmKernel(GemmKernel::Simd);
-    gemmAccNN(S.M, S.N, S.K, A.data(), S.K, B.data(), S.N, Cv.data(), S.N);
-    EXPECT_EQ(0, std::memcmp(Cs.data(), Cv.data(), Cs.size() * sizeof(double)))
-        << "M=" << S.M << " K=" << S.K << " N=" << S.N;
-  }
-}
-
-TEST(GemmTest, DispatchedNNBitwiseEqualsScalarFloat) {
-  if (!gemmSimdAvailable())
-    GTEST_SKIP() << "no SIMD kernel in this build";
-  KernelScope Restore;
-  Rng R(57);
-  for (const Shape &S : EdgeShapes) {
-    std::vector<float> A = randomDataF(R, S.M * S.K);
-    std::vector<float> B = randomDataF(R, S.K * S.N);
-    std::vector<float> Cs(S.M * S.N, 0.125f), Cv(S.M * S.N, 0.125f);
-    setGemmKernel(GemmKernel::Scalar);
-    gemmAccNN(S.M, S.N, S.K, A.data(), S.K, B.data(), S.N, Cs.data(), S.N);
-    setGemmKernel(GemmKernel::Simd);
-    gemmAccNN(S.M, S.N, S.K, A.data(), S.K, B.data(), S.N, Cv.data(), S.N);
-    EXPECT_EQ(0, std::memcmp(Cs.data(), Cv.data(), Cs.size() * sizeof(float)))
-        << "M=" << S.M << " K=" << S.K << " N=" << S.N;
-  }
-}
-
 //===----------------------------------------------------------------------===//
-// Packed macro-kernel path: 0-ULP against the streaming kernels.
+// 0-ULP guards, run on the detail:: drivers and micro-kernels directly.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Restores the packing mode on scope exit (same rationale as
-/// KernelScope).
-struct PackingScope {
-  GemmPacking Saved = getGemmPacking();
-  ~PackingScope() { setGemmPacking(Saved); }
-};
-
 /// Packing-specific edge shapes on top of EdgeShapes: M=1 skinny calls
-/// with wide/deep panels (the pack arena still has to handle a single
-/// register-tile row), exact block multiples, and one-past-block sizes.
+/// with wide/deep panels (the packed drivers still have to handle a
+/// single register-tile row), exact block multiples, and one-past-block
+/// sizes.
 const Shape PackShapes[] = {{1, 259, 516}, {1, 512, 64},  {4, 256, 512},
                             {5, 257, 513}, {64, 256, 512}, {12, 1024, 48}};
 
-/// Runs kernel Op (NN/NT/TN dispatcher below) with packing forced Off
-/// then On and memcmps the two C buffers; repeated under Scalar and
-/// (when available) Simd kernel dispatch. 0 ULP is the contract --
-/// packing is pure layout -- and this is the empirical guard that no
-/// packed loop got a different fp-contraction mix than its streaming
-/// twin.
-template <typename T, typename Kernel>
-void expectPackedBitwiseEqual(const char *Name, unsigned Seed, Kernel Op,
-                              bool SwapsAK) {
-  KernelScope RestoreKernel;
-  PackingScope RestorePacking;
-  Rng R(Seed);
+std::vector<Shape> guardShapes() {
   std::vector<Shape> All(std::begin(EdgeShapes), std::end(EdgeShapes));
   All.insert(All.end(), std::begin(PackShapes), std::end(PackShapes));
-  for (const Shape &S : All) {
-    const unsigned ARows = SwapsAK ? S.K : S.M, ACols = SwapsAK ? S.M : S.K;
-    std::vector<T> A(ARows * ACols), B(S.K * S.N);
-    for (T &X : A)
-      X = static_cast<T>(R.nextDouble(-1.0, 1.0));
-    for (T &X : B)
-      X = static_cast<T>(R.nextDouble(-1.0, 1.0));
-    for (GemmKernel Kind : {GemmKernel::Scalar, GemmKernel::Simd}) {
-      if (Kind == GemmKernel::Simd && !gemmSimdAvailable())
-        continue;
-      setGemmKernel(Kind);
-      std::vector<T> Cu(S.M * S.N, static_cast<T>(0.125)),
-          Cp(S.M * S.N, static_cast<T>(0.125));
-      setGemmPacking(GemmPacking::Off);
-      Op(S, A.data(), B.data(), Cu.data());
-      setGemmPacking(GemmPacking::On);
-      Op(S, A.data(), B.data(), Cp.data());
-      EXPECT_EQ(0, std::memcmp(Cu.data(), Cp.data(), Cu.size() * sizeof(T)))
-          << Name << " M=" << S.M << " K=" << S.K << " N=" << S.N
-          << " kernel=" << (Kind == GemmKernel::Simd ? "simd" : "scalar");
-    }
+  return All;
+}
+
+/// Runs an NN micro-kernel over all of C(MxN) += A(MxK) . B(KxN) in
+/// MR-row tiles plus a row tail, as the drivers do.
+template <typename T, typename Micro>
+void sweepNN(const Shape &S, const T *A, const T *B, T *C, Micro Kernel) {
+  for (unsigned I = 0; I < S.M; I += detail::MR)
+    Kernel(std::min(detail::MR, S.M - I), 0, S.N, 0, S.K, A, S.K, B, S.N, C,
+           S.N, I);
+}
+
+/// Runs a packed NT micro-kernel over C(MxN) += A(MxK) . Bt(KxN), Bt
+/// being the transpose-packed B panel, in MR-row tiles plus a row tail.
+template <typename T, typename Micro>
+void sweepNTPacked(const Shape &S, const T *A, const T *Bt, T *C,
+                   Micro Kernel) {
+  for (unsigned I = 0; I < S.M; I += detail::MR)
+    Kernel(std::min(detail::MR, S.M - I), S.N, S.K,
+           A + static_cast<size_t>(I) * S.K, S.K, Bt, S.N,
+           C + static_cast<size_t>(I) * S.N, S.N);
+}
+
+/// The SIMD micro-kernels widen only the independent j lanes and hand
+/// their sub-vector tails to the scalar kernels, so both forms must
+/// agree to 0 ULP -- the guard against a miscompiled SIMD path. C is
+/// pre-filled so both also share the accumulate contract.
+template <typename T> void expectSimdBitwiseEqualsScalar(unsigned Seed) {
+  Rng R(Seed);
+  for (const Shape &S : guardShapes()) {
+    std::vector<T> A = randomData<T>(R, S.M * S.K);
+    std::vector<T> B = randomData<T>(R, S.K * S.N);
+    std::vector<T> Cs(S.M * S.N, static_cast<T>(0.125)), Cv = Cs;
+    sweepNN<T>(S, A.data(), B.data(), Cs.data(), detail::microNNScalar<T>);
+    sweepNN<T>(S, A.data(), B.data(), Cv.data(), detail::microNNSimd<T>);
+    EXPECT_EQ(0, std::memcmp(Cs.data(), Cv.data(), Cs.size() * sizeof(T)))
+        << "NN M=" << S.M << " K=" << S.K << " N=" << S.N;
+    std::fill(Cs.begin(), Cs.end(), static_cast<T>(0.125));
+    Cv = Cs;
+    sweepNTPacked<T>(S, A.data(), B.data(), Cs.data(),
+                     detail::microNTPackedScalar<T>);
+    sweepNTPacked<T>(S, A.data(), B.data(), Cv.data(),
+                     detail::microNTPackedSimd<T>);
+    EXPECT_EQ(0, std::memcmp(Cs.data(), Cv.data(), Cs.size() * sizeof(T)))
+        << "NT packed M=" << S.M << " K=" << S.K << " N=" << S.N;
   }
 }
 
-template <typename T> struct GemmOps {
-  static void nn(const Shape &S, const T *A, const T *B, T *C) {
-    gemmAccNN(S.M, S.N, S.K, A, S.K, B, S.N, C, S.N);
+/// The streaming (Pack == nullptr) or the packed serial driver of one
+/// layout; Pack is PackScratchElems of scratch, B panel first. NT
+/// stores B as NxK, TN stores A as KxM.
+template <typename T> struct Drivers {
+  static void nn(const Shape &S, const T *A, const T *B, T *C, T *Pack) {
+    if (Pack)
+      detail::gemmNNPackedSerial<T>(S.M, S.N, S.K, A, S.K, B, S.N, C, S.N,
+                                    Pack + detail::PackScratchAOffset, Pack);
+    else
+      detail::gemmNNSerial<T>(S.M, S.N, S.K, A, S.K, B, S.N, C, S.N);
   }
-  // NT stores B as NxK.
-  static void nt(const Shape &S, const T *A, const T *B, T *C) {
-    gemmAccNT(S.M, S.N, S.K, A, S.K, B, S.K, C, S.N);
+  static void nt(const Shape &S, const T *A, const T *B, T *C, T *Pack) {
+    if (Pack)
+      detail::gemmNTPackedSerial<T>(S.M, S.N, S.K, A, S.K, B, S.K, C, S.N,
+                                    Pack + detail::PackScratchAOffset, Pack);
+    else
+      detail::gemmNTSerial<T>(S.M, S.N, S.K, A, S.K, B, S.K, C, S.N);
   }
-  // TN stores A as KxM.
-  static void tn(const Shape &S, const T *A, const T *B, T *C) {
-    gemmAccTN(S.M, S.N, S.K, A, S.M, B, S.N, C, S.N);
+  static void tn(const Shape &S, const T *A, const T *B, T *C, T *Pack) {
+    if (Pack)
+      detail::gemmTNPackedSerial<T>(S.M, S.N, S.K, A, S.M, B, S.N, C, S.N,
+                                    Pack + detail::PackScratchAOffset, Pack);
+    else
+      detail::gemmTNSerial<T>(S.M, S.N, S.K, A, S.M, B, S.N, C, S.N);
   }
 };
 
+/// Runs driver pair Op streaming and packed on every guard shape and
+/// memcmps the two C buffers. 0 ULP is the contract -- packing is pure
+/// layout -- and this is the empirical guard that no packed loop got a
+/// different fp-contraction mix than its streaming twin.
+template <typename T, typename Driver>
+void expectPackedBitwiseEqual(const char *Name, unsigned Seed, Driver Op) {
+  Rng R(Seed);
+  std::vector<T> Scratch(detail::PackScratchElems);
+  for (const Shape &S : guardShapes()) {
+    // Every layout's A holds M*K and its B K*N elements.
+    std::vector<T> A = randomData<T>(R, S.M * S.K);
+    std::vector<T> B = randomData<T>(R, S.K * S.N);
+    std::vector<T> Cu(S.M * S.N, static_cast<T>(0.125)), Cp = Cu;
+    Op(S, A.data(), B.data(), Cu.data(), nullptr);
+    Op(S, A.data(), B.data(), Cp.data(), Scratch.data());
+    EXPECT_EQ(0, std::memcmp(Cu.data(), Cp.data(), Cu.size() * sizeof(T)))
+        << Name << " M=" << S.M << " K=" << S.K << " N=" << S.N;
+  }
+}
+
 } // namespace
 
+TEST(GemmTest, SimdMicroKernelsBitwiseEqualScalarDouble) {
+  expectSimdBitwiseEqualsScalar<double>(56);
+}
+
+TEST(GemmTest, SimdMicroKernelsBitwiseEqualScalarFloat) {
+  expectSimdBitwiseEqualsScalar<float>(57);
+}
+
 TEST(GemmTest, PackedNNBitwiseEqualsUnpackedDouble) {
-  expectPackedBitwiseEqual<double>("NN", 60, GemmOps<double>::nn, false);
+  expectPackedBitwiseEqual<double>("NN", 60, Drivers<double>::nn);
 }
 
 TEST(GemmTest, PackedNNBitwiseEqualsUnpackedFloat) {
-  expectPackedBitwiseEqual<float>("NN", 61, GemmOps<float>::nn, false);
+  expectPackedBitwiseEqual<float>("NN", 61, Drivers<float>::nn);
 }
 
 TEST(GemmTest, PackedNTBitwiseEqualsUnpackedDouble) {
-  expectPackedBitwiseEqual<double>("NT", 62, GemmOps<double>::nt, false);
+  expectPackedBitwiseEqual<double>("NT", 62, Drivers<double>::nt);
 }
 
 TEST(GemmTest, PackedNTBitwiseEqualsUnpackedFloat) {
-  expectPackedBitwiseEqual<float>("NT", 63, GemmOps<float>::nt, false);
+  expectPackedBitwiseEqual<float>("NT", 63, Drivers<float>::nt);
 }
 
 TEST(GemmTest, PackedTNBitwiseEqualsUnpackedDouble) {
-  expectPackedBitwiseEqual<double>("TN", 64, GemmOps<double>::tn, true);
+  expectPackedBitwiseEqual<double>("TN", 64, Drivers<double>::tn);
 }
 
 TEST(GemmTest, PackedTNBitwiseEqualsUnpackedFloat) {
-  expectPackedBitwiseEqual<float>("TN", 65, GemmOps<float>::tn, true);
+  expectPackedBitwiseEqual<float>("TN", 65, Drivers<float>::tn);
 }
 
 TEST(GemmTest, PackedTNPreservesZeroSkipSemantics) {
   // The TN zero-skip must survive packing bitwise, including the case
   // where skipping keeps a -0.0 in C that an unskipped 0-add would
   // flip to +0.0.
-  PackingScope Restore;
-  const unsigned M = 6, N = 8, K = 9; // remainder k's after the MR groups
-  std::vector<double> A(K * M, 0.0), B(K * N);
-  A[2 * M + 1] = 0.75; // one nonzero feature in an otherwise zero column
+  const Shape S = {6, 9, 8}; // remainder k's after the MR groups
+  std::vector<double> A(S.K * S.M, 0.0), B(S.K * S.N);
+  A[2 * S.M + 1] = 0.75; // one nonzero feature in an otherwise zero column
   Rng R(66);
   for (double &X : B)
     X = R.nextDouble(-1.0, 1.0);
-  std::vector<double> Cu(M * N, -0.0), Cp(M * N, -0.0);
-  setGemmPacking(GemmPacking::Off);
-  gemmAccTN(M, N, K, A.data(), M, B.data(), N, Cu.data(), N);
-  setGemmPacking(GemmPacking::On);
-  gemmAccTN(M, N, K, A.data(), M, B.data(), N, Cp.data(), N);
+  std::vector<double> Scratch(detail::PackScratchElems);
+  std::vector<double> Cu(S.M * S.N, -0.0), Cp(S.M * S.N, -0.0);
+  Drivers<double>::tn(S, A.data(), B.data(), Cu.data(), nullptr);
+  Drivers<double>::tn(S, A.data(), B.data(), Cp.data(), Scratch.data());
   EXPECT_EQ(0, std::memcmp(Cu.data(), Cp.data(), Cu.size() * sizeof(double)));
   // Untouched rows keep their -0.0 bit pattern in both paths.
   EXPECT_TRUE(std::signbit(Cu[0]));
   EXPECT_TRUE(std::signbit(Cp[0]));
 }
 
+namespace {
+
+/// In double this shape alone sends all three layouts down the packed
+/// path of the public entry points (see autoPackNN/NT/TN in
+/// nn/Gemm.cpp), and its work is above the row-partitioning threshold.
+constexpr unsigned PackM = 128, PackN = 256, PackK = 300;
+
+CacheStatsRegistry::CategoryStats packArenaStats() {
+  return CacheStatsRegistry::instance().categoryStats("gemm.pack_arena");
+}
+
+} // namespace
+
 TEST(GemmTest, PackedParallelBitwiseIdenticalAcrossPoolSizes) {
   // The packed macro-kernel partitions rows across the installed pool
   // with a fixed block -> thread assignment; results must be bitwise
-  // identical for every pool size (the determinism contract).
-  PackingScope RestorePacking;
-  setGemmPacking(GemmPacking::On);
-  const unsigned M = 96, N = 160, K = 300; // above MinParallelWork
+  // identical for every pool size (the determinism contract) and equal
+  // the streaming drivers.
+  const unsigned M = PackM, N = PackN, K = PackK;
   Rng R(67);
   std::vector<double> Ann(M * K), Bnn(K * N), Ant(M * K), Bnt(N * K),
       Atn(K * M), Btn(K * N);
   for (auto *V : {&Ann, &Bnn, &Ant, &Bnt, &Atn, &Btn})
     for (double &X : *V)
       X = R.nextDouble(-1.0, 1.0);
-  auto runAll = [&](std::vector<double> &C) {
-    gemmAccNN(M, N, K, Ann.data(), K, Bnn.data(), N, C.data(), N);
-    gemmAccNT(M, N, K, Ant.data(), K, Bnt.data(), K, C.data(), N);
-    gemmAccTN(M, N, K, Atn.data(), M, Btn.data(), N, C.data(), N);
-  };
-  std::vector<double> Serial(M * N, 0.25);
-  runAll(Serial);
-  for (unsigned Threads : {2u, 4u}) {
+  std::vector<double> Streamed(M * N, 0.25);
+  detail::gemmNNSerial<double>(M, N, K, Ann.data(), K, Bnn.data(), N,
+                               Streamed.data(), N);
+  detail::gemmNTSerial<double>(M, N, K, Ant.data(), K, Bnt.data(), K,
+                               Streamed.data(), N);
+  detail::gemmTNSerial<double>(M, N, K, Atn.data(), M, Btn.data(), N,
+                               Streamed.data(), N);
+  for (unsigned Threads : {1u, 2u, 4u}) {
     ThreadPool Pool(Threads);
     setGemmPool(&Pool);
     std::vector<double> Par(M * N, 0.25);
-    runAll(Par);
+    const auto Before = packArenaStats();
+    gemmAccNN(M, N, K, Ann.data(), K, Bnn.data(), N, Par.data(), N);
+    gemmAccNT(M, N, K, Ant.data(), K, Bnt.data(), K, Par.data(), N);
+    gemmAccTN(M, N, K, Atn.data(), M, Btn.data(), N, Par.data(), N);
+    const auto After = packArenaStats();
     setGemmPool(nullptr);
-    EXPECT_EQ(0,
-              std::memcmp(Serial.data(), Par.data(), Par.size() * sizeof(double)))
+    // Each layout drew pack scratch at least once: all three packed.
+    EXPECT_GE(After.total(), Before.total() + 3) << "pool size " << Threads;
+    EXPECT_EQ(0, std::memcmp(Streamed.data(), Par.data(),
+                             Par.size() * sizeof(double)))
         << "pool size " << Threads;
   }
 }
 
 TEST(GemmTest, PackArenaIsReusedAndAccounted) {
-  PackingScope Restore;
-  setGemmPacking(GemmPacking::On);
-  const unsigned M = 64, N = 96, K = 128;
+  const unsigned M = PackM, N = PackN, K = PackK;
   std::vector<double> A(M * K, 0.5), B(K * N, 0.25), C(M * N, 0.0);
-  auto Before = CacheStatsRegistry::instance().categoryStats("gemm.pack_arena");
+  const auto Before = packArenaStats();
   gemmAccNN(M, N, K, A.data(), K, B.data(), N, C.data(), N);
   const size_t Cap = gemmPackScratchCapacity();
   EXPECT_GT(Cap, 0u);
   gemmAccNN(M, N, K, A.data(), K, B.data(), N, C.data(), N);
   gemmAccNT(M, N, K, A.data(), K, B.data(), K, C.data(), N);
-  auto After = CacheStatsRegistry::instance().categoryStats("gemm.pack_arena");
+  const auto After = packArenaStats();
   // Steady state: later packed calls on this thread reuse the block
   // (hits), never grow it (no new misses beyond the first call's).
   EXPECT_GE(After.Hits, Before.Hits + 2);
   EXPECT_LE(After.Misses, Before.Misses + 1);
   EXPECT_EQ(gemmPackScratchCapacity(), Cap);
-}
-
-TEST(GemmTest, SimdLanesReportedForBothDtypes) {
-  if (!gemmSimdAvailable()) {
-    EXPECT_EQ(gemmSimdLanes(sizeof(double)), 1u);
-    EXPECT_EQ(gemmSimdLanes(sizeof(float)), 1u);
-    return;
-  }
-  // 32-byte vectors: 4 doubles / 8 floats per lane group.
-  EXPECT_EQ(gemmSimdLanes(sizeof(double)), 4u);
-  EXPECT_EQ(gemmSimdLanes(sizeof(float)), 8u);
 }

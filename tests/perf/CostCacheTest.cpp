@@ -6,9 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-
 using namespace mlirrl;
 
 namespace {
@@ -95,98 +92,6 @@ TEST_F(CostCacheFixture, CachedEqualsUncachedPricing) {
   CostModel Fresh(Machine); // no shared cache state
   TimeBreakdown Direct = Fresh.estimateNest(Nest);
   EXPECT_TRUE(bitIdentical(Cached, Direct));
-}
-
-TEST_F(CostCacheFixture, LruEvictsBeyondCapacity) {
-  Model.setCacheCapacity(2);
-  LoopNest N1 = nestWith({Transformation::tiling({2, 2, 2})});
-  LoopNest N2 = nestWith({Transformation::tiling({4, 4, 4})});
-  LoopNest N3 = nestWith({Transformation::tiling({8, 8, 8})});
-  Model.estimateNest(N1); // miss
-  Model.estimateNest(N2); // miss
-  Model.estimateNest(N1); // hit (N1 now MRU)
-  Model.estimateNest(N3); // miss, evicts LRU N2
-  Model.estimateNest(N1); // hit: recency protected N1
-  Model.estimateNest(N2); // miss: N2 was evicted
-  HitMissCounters C = Model.getCacheCounters();
-  EXPECT_EQ(C.Misses, 4u);
-  EXPECT_EQ(C.Hits, 2u);
-}
-
-TEST_F(CostCacheFixture, CopyAndAssignmentTakeSettingsNotEntries) {
-  Model.setCacheCapacity(123);
-  Model.estimateNest(nestWith({Transformation::tiling({16, 16, 16})}));
-
-  CostModel Copied(Model);
-  EXPECT_EQ(Copied.getCacheCounters().total(), 0u); // fresh memo
-  // The entry was not shared: pricing in the copy misses first.
-  Copied.estimateNest(nestWith({Transformation::tiling({16, 16, 16})}));
-  EXPECT_EQ(Copied.getCacheCounters().Misses, 1u);
-
-  MachineModel Slower = Machine;
-  Slower.FrequencyGHz = 1.2;
-  CostModel Assigned(Slower);
-  Assigned.estimateNest(nestWith({Transformation::tiling({8, 8, 8})}));
-  Assigned = Model;
-  // Assignment drops the old-machine entries and counters...
-  EXPECT_EQ(Assigned.getCacheCounters().total(), 0u);
-  // ...and prices like the source model afterwards.
-  TimeBreakdown Ours =
-      Assigned.estimateNest(nestWith({Transformation::tiling({4, 4, 4})}));
-  TimeBreakdown Theirs =
-      Model.estimateNest(nestWith({Transformation::tiling({4, 4, 4})}));
-  EXPECT_TRUE(bitIdentical(Ours, Theirs));
-}
-
-TEST_F(CostCacheFixture, SelfAssignmentIsANoOp) {
-  Model.estimateNest(nestWith({Transformation::tiling({16, 16, 16})}));
-  Model.estimateNest(nestWith({Transformation::tiling({16, 16, 16})}));
-  CostModel &Alias = Model;
-  Model = Alias;
-  // Self-assignment must neither deadlock (scoped_lock would lock the
-  // same mutex twice) nor wipe the memo state.
-  EXPECT_EQ(Model.getCacheCounters().Hits, 1u);
-  EXPECT_EQ(Model.getCacheCounters().Misses, 1u);
-  Model.estimateNest(nestWith({Transformation::tiling({16, 16, 16})}));
-  EXPECT_EQ(Model.getCacheCounters().Hits, 2u);
-}
-
-TEST_F(CostCacheFixture, ConcurrentCopiesWhileInsertingStayCoherent) {
-  // One thread keeps pricing fresh schedules into the shared model
-  // (inserting under CacheMutex) while another copy-constructs and
-  // copy-assigns from it: both copy paths lock the source, so the
-  // capacity/machine reads can never tear against the inserts.
-  std::atomic<bool> Stop{false};
-  std::atomic<unsigned> CopiesMade{0};
-
-  std::thread Inserter([&] {
-    unsigned Size = 1;
-    while (!Stop.load(std::memory_order_relaxed)) {
-      int64_t S = 2 + static_cast<int64_t>(Size++ % 61);
-      Model.estimateNest(nestWith({Transformation::tiling({S, S, S})}));
-    }
-  });
-  std::thread Copier([&] {
-    MachineModel Slower = Machine;
-    Slower.FrequencyGHz = 1.2;
-    CostModel Scratch(Slower);
-    for (unsigned I = 0; I < 200; ++I) {
-      CostModel Copy(Model); // copy-ctor locks the source
-      Scratch = Model;       // copy-assign locks both sides
-      CopiesMade.fetch_add(1, std::memory_order_relaxed);
-    }
-    // The last assignment left Scratch pricing on the shared machine.
-    TimeBreakdown Ours =
-        Scratch.estimateNest(nestWith({Transformation::tiling({2, 2, 2})}));
-    CostModel Reference(Model);
-    TimeBreakdown Theirs = Reference.estimateNest(
-        nestWith({Transformation::tiling({2, 2, 2})}));
-    EXPECT_TRUE(bitIdentical(Ours, Theirs));
-  });
-  Copier.join();
-  Stop.store(true, std::memory_order_relaxed);
-  Inserter.join();
-  EXPECT_EQ(CopiesMade.load(), 200u);
 }
 
 TEST_F(CostCacheFixture, ClearCacheDropsEntriesKeepsCounters) {

@@ -141,7 +141,7 @@ TEST_F(ChainFixture, FusionInvalidationForbidsStaleNestReuse) {
   // price the whole module, fuse op 1 into op 2, and re-price. A stale
   // consumer nest (without the producer body) or a lingering producer
   // price would corrupt the sum.
-  CostModelEvaluator Eval(MachineModel::xeonE5_2680v4());
+  Runner Eval(MachineModel::xeonE5_2680v4());
   ScheduleState State(M);
   double Before = Eval.timeState(State);
   EXPECT_EQ(Before, Eval.timeModule(M, State.getSchedule()));
@@ -169,7 +169,7 @@ TEST_F(ChainFixture, FusionInvalidationForbidsStaleNestReuse) {
 
   // Same scenario through a CachingEvaluator: the op memo must not
   // resurrect the pre-fusion consumer price either.
-  CostModelEvaluator Inner(MachineModel::xeonE5_2680v4());
+  Runner Inner(MachineModel::xeonE5_2680v4());
   CachingEvaluator Caching(Inner);
   ScheduleState CachedState(M);
   EXPECT_EQ(Caching.timeState(CachedState), Before);
