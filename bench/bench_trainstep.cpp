@@ -75,21 +75,19 @@ void BM_TrainIterationFixedDataset(benchmark::State &State) {
 }
 
 /// Per-step environment cost in Immediate-reward mode on multi-op
-/// modules -- the path the ScheduleState transaction layer targets
-/// (Arg 0: 1 = incremental dirty-op pricing, 0 = the from-scratch
-/// oracle; Arg 1: 0 = random operator sequences of a few ops, 1 =
-/// MobileNetV2, a full model of dozens of ops, where the O(module) vs
-/// O(dirty) gap is widest). Identical masked-random episodes either way
-/// (the two paths are bitwise-equal); steps_per_s isolates the win.
+/// modules -- the path the ScheduleState transaction layer targets,
+/// where each step re-prices only the op nests it dirtied (Arg: 0 =
+/// random operator sequences of a few ops, 1 = MobileNetV2, a full
+/// model of dozens of ops, where the O(module) vs O(dirty) gap is
+/// widest).
 void BM_ImmediateStepIncremental(benchmark::State &State) {
   EnvConfig Config = EnvConfig::laptop();
   Config.Reward = RewardMode::Immediate;
-  Config.Incremental = State.range(0) != 0;
   Runner Eval(MachineModel::xeonE5_2680v4());
 
   Rng ModuleRng(21);
   std::vector<Module> Samples;
-  if (State.range(1) == 0)
+  if (State.range(0) == 0)
     for (unsigned I = 0; I < 4; ++I)
       Samples.push_back(generateOperatorSequence(ModuleRng));
   else
@@ -140,16 +138,15 @@ void BM_TrainIterationParallelCollect(benchmark::State &State) {
 }
 
 /// The shared striped evaluator memo under parallel collection (Arg =
-/// memo shard count, 0 = memo disabled): 4 collector threads price
-/// through one CachingEvaluator, so 1 shard reproduces the old
-/// global-lock serialization and higher counts show what striping buys.
-/// Rollouts are bitwise-identical across the whole sweep; the counters
-/// record the evaluator-memo hit rate and the contended-acquisition
-/// fraction of the shard locks.
+/// memo shard count): 4 collector threads price through one
+/// CachingEvaluator, so 1 shard reproduces the old global-lock
+/// serialization and higher counts show what striping buys. Rollouts
+/// are bitwise-identical across the whole sweep; the counters record
+/// the evaluator-memo hit rate and the contended-acquisition fraction
+/// of the shard locks.
 void BM_TrainIterationMemoShards(benchmark::State &State) {
   MlirRlOptions Options = standardOptions(/*Iterations=*/0);
   Options.Ppo.CollectThreads = 4;
-  Options.MemoizeEvaluations = State.range(0) != 0;
   Options.MemoShards = static_cast<unsigned>(State.range(0));
   MlirRl Sys(Options);
   std::vector<Module> Data = operatorTrainingSet();
@@ -163,12 +160,10 @@ void BM_TrainIterationMemoShards(benchmark::State &State) {
   }
   State.counters["steps_per_s"] = benchmark::Counter(
       static_cast<double>(Steps), benchmark::Counter::kIsRate);
-  if (CachingEvaluator *Memo = Sys.memo()) {
-    HitMissCounters Op = Memo->getOpCounters();
-    State.counters["op_memo_hit_rate"] = Op.hitRate();
-    ContentionCounters L = Memo->getOpContention();
-    State.counters["op_memo_contended_rate"] = L.contendedRate();
-  }
+  CachingEvaluator &Memo = *Sys.memo();
+  State.counters["op_memo_hit_rate"] = Memo.getOpCounters().hitRate();
+  State.counters["op_memo_contended_rate"] =
+      Memo.getOpContention().contendedRate();
 }
 
 /// Collection-thread wall-clock sweep (Arg = CollectThreads; rollouts
@@ -293,14 +288,11 @@ void BM_MatmulForwardBackward(benchmark::State &State) {
 BENCHMARK(BM_TrainIteration)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TrainIterationFixedDataset)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ImmediateStepIncremental)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({1, 1})
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TrainIterationParallelCollect)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TrainIterationMemoShards)
-    ->Arg(0)
     ->Arg(1)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond);

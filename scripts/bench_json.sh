@@ -88,8 +88,10 @@ case "${1:-}" in
   *)
     # Default perf-trajectory artifact: exclude the thread-sweep cases
     # this host cannot actually run (negative filter, google-benchmark
-    # >= 1.6). BM_TrainIterationMemoShards pins CollectThreads=4
-    # internally, so it goes too on narrower hosts.
+    # >= 1.6). BM_TrainIterationMemoShards (shard counts 1 and 16; the
+    # memo is always on) pins CollectThreads=4 internally, so it goes
+    # too on narrower hosts. BM_ImmediateStepIncremental/0 and /1 are
+    # the sequence and MobileNetV2 per-step rows.
     too_wide=""
     for t in 2 4 8; do
       if [[ "$t" -gt "$NPROC" ]]; then

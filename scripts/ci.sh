@@ -85,17 +85,13 @@ if [[ "$tree_before" != "$tree_after" ]]; then
   exit 1
 fi
 
-# --- Incremental fast-path smoke check ------------------------------------
-# One repetition of Immediate-reward episodes through the default
-# (incremental) environment path: asserts the per-nest op memo hit rate
-# is > 0 and that incremental stepping actually ran (nests materialized
-# << ops x steps), so the ScheduleState path cannot silently regress to
-# the from-scratch fallback. Also cross-checks the incremental price
-# against the from-scratch oracle bitwise. (GEMM has no smoke of its
-# own: the call shape alone decides streaming vs packed, and GemmTest
-# checks both drivers and the pack arena in the suite above and, under
-# ASan/UBSan, in the --sanitize=address pass.)
-./build/example_perf_smoke
+# (The incremental fast path has no smoke of its own: the ctest suite
+# above runs IncrementalEquivalenceTest, which checks its prices and
+# features against the from-scratch references and its memo and
+# price-reuse traffic. Nor does GEMM: the call shape alone decides
+# streaming vs packed, and GemmTest checks both drivers and the pack
+# arena in the suite above and, under ASan/UBSan, in the
+# --sanitize=address pass.)
 
 # --- Striped-memo smoke check ---------------------------------------------
 # The memo micro-bench in smoke mode: hammers the lock-striped shared
@@ -148,14 +144,12 @@ if [[ "$sanitize" == address ]]; then
   ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
     ./build-san/example_fuzz_smoke --inputs 2000 --episodes 50 \
     --corpus "$fuzz_corpus"
-  # The incremental fast path under the sanitized build as well. (The
-  # SIMD micro-kernels, both GEMM drivers and the pack arena run under
-  # ASan+UBSan in GemmTest, part of the suite above: a vector lane read
-  # out of bounds or a panel overrun past the padded row stride is an
-  # immediate report, and LeakSanitizer fails the test binary if a
-  # pack-scratch allocation outlives its thread's arena.)
-  ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
-    ./build-san/example_perf_smoke
+  # (The SIMD micro-kernels, both GEMM drivers and the pack arena run
+  # under ASan+UBSan in GemmTest, and the incremental fast path in
+  # IncrementalEquivalenceTest, both part of the suite above: a vector
+  # lane read out of bounds or a panel overrun past the padded row
+  # stride is an immediate report, and LeakSanitizer fails the test
+  # binary if a pack-scratch allocation outlives its thread's arena.)
   # The serving path under the sanitizers (reduced request count): the
   # worker thread, promise/future handoff, and checkpoint reload are
   # the lifetime-heavy code in this tree.

@@ -64,22 +64,6 @@ struct EnvConfig {
   /// Tile-size candidates (first entry must be 0 = "do not tile").
   std::vector<int64_t> TileCandidates = {0, 1, 2, 4, 8, 16, 32, 64};
 
-  /// Price rewards and build observations incrementally through the
-  /// ScheduleState transaction layer (only the op nests an action
-  /// dirtied are re-materialized, re-priced and re-featurized). Off =
-  /// the from-scratch oracle path; both produce bitwise-identical
-  /// prices, observations and trajectories (the DeterminismMatrix and
-  /// IncrementalEquivalence tests sweep the pair).
-  bool Incremental = true;
-
-  /// Run the post-transform invariant pass (transforms/PostTransformChecks)
-  /// on every candidate action before committing it: a schedule the
-  /// checks reject becomes a penalized no-op instead of corrupt state or
-  /// an abort. On legal actions the checks never fire, so trajectories
-  /// are bitwise-identical with the flag off; the per-step cost is one
-  /// extra candidate materialization (measured in PERF.md).
-  bool PostTransformChecks = true;
-
   /// Reward subtracted when a post-transform check rejects an action
   /// (only ever applied on check failure, never on the routine
   /// engine-level rejections that are silent wasted steps).

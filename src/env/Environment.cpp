@@ -96,11 +96,9 @@ Environment::tileSizesFromAction(const AgentAction &Action) const {
 double Environment::measuredModuleTime() {
   // Measure the module under the schedule assembled so far, including
   // the in-progress schedule of the current op (the state always holds
-  // exactly that). Incremental: only dirty op nests are re-priced.
-  // From-scratch: the whole-module oracle path, bitwise-identical.
-  if (Config.Incremental)
-    return Eval.timeState(State);
-  return Eval.timeModule(Sample, State.getSchedule());
+  // exactly that). Only dirty op nests are re-priced; the price equals
+  // Eval.timeModule(Sample, State.getSchedule()) bitwise.
+  return Eval.timeState(State);
 }
 
 double Environment::rewardAfterEffectiveStep() {
@@ -136,25 +134,23 @@ bool Environment::applyTransform(const Transformation &T, int Producer) {
   if (!Trial.apply(T).Applied)
     return false;
 
-  if (Config.PostTransformChecks) {
-    // The candidate schedule: everything committed to the current op so
-    // far plus this action. Checked from scratch, so divergence between
-    // the machine and the transaction state is also caught here.
-    OpSchedule Candidate;
-    auto It = State.getSchedule().OpSchedules.find(
-        static_cast<unsigned>(CurrentOp));
-    if (It != State.getSchedule().OpSchedules.end())
-      Candidate = It->second;
-    Candidate.Transforms.push_back(T);
-    if (Producer >= 0)
-      Candidate.FusedProducers.push_back(static_cast<unsigned>(Producer));
-    std::string Err;
-    if (!checkCandidateAction(Sample, static_cast<unsigned>(CurrentOp),
-                              Candidate, Err)) {
-      recordRobustnessEvent(RobustnessEvent::PostTransformCheckFailed);
-      CheckFailedThisStep = true;
-      return false;
-    }
+  // The candidate schedule: everything committed to the current op so
+  // far plus this action. Checked from scratch, so divergence between
+  // the machine and the transaction state is also caught here.
+  OpSchedule Candidate;
+  auto It = State.getSchedule().OpSchedules.find(
+      static_cast<unsigned>(CurrentOp));
+  if (It != State.getSchedule().OpSchedules.end())
+    Candidate = It->second;
+  Candidate.Transforms.push_back(T);
+  if (Producer >= 0)
+    Candidate.FusedProducers.push_back(static_cast<unsigned>(Producer));
+  std::string Err;
+  if (!checkCandidateAction(Sample, static_cast<unsigned>(CurrentOp),
+                            Candidate, Err)) {
+    recordRobustnessEvent(RobustnessEvent::PostTransformCheckFailed);
+    CheckFailedThisStep = true;
+    return false;
   }
 
   *Machine = std::move(Trial);
@@ -390,22 +386,14 @@ void Environment::computeObservation() {
   Obs.InPointerSequence = InPointerSequence;
 
   int Producer = findProducerCandidate();
-  if (Config.Incremental) {
-    // Delta featurization: static prefixes are computed once per op,
-    // the consumer's history slabs only when the history moved, and
-    // producer vectors once per op (empty history). Values are
-    // bitwise-identical to the from-scratch featurize() calls below.
-    Obs.Consumer = consumerFeatures();
-    Obs.Producer = Producer >= 0
-                       ? producerFeatures(static_cast<unsigned>(Producer))
-                       : Feat.zeroVector();
-  } else {
-    Obs.Consumer = Feat.featurize(Sample, Op, History);
-    Obs.Producer = Producer >= 0
-                       ? Feat.featurize(Sample, Sample.getOp(Producer),
-                                        ActionHistory())
-                       : Feat.zeroVector();
-  }
+  // Delta featurization: static prefixes are computed once per op, the
+  // consumer's history slabs only when the history moved, and producer
+  // vectors once per op (empty history). Values are bitwise-identical
+  // to Feat.featurize on the same op and history.
+  Obs.Consumer = consumerFeatures();
+  Obs.Producer = Producer >= 0
+                     ? producerFeatures(static_cast<unsigned>(Producer))
+                     : Feat.zeroVector();
 
   // Transformation mask.
   Obs.TransformMask.assign(NumTransformKinds, 0.0);

@@ -84,6 +84,13 @@ public:
   /// Index of the operation currently being optimized (for tests).
   int getCurrentOp() const { return CurrentOp; }
 
+  /// Action history of the operation currently being optimized.
+  const ActionHistory &getHistory() const { return History; }
+
+  /// The current fusion candidate: the last producer feeding the fused
+  /// group, fusable and exclusively consumed by the group. -1 if none.
+  int findProducerCandidate() const;
+
 private:
   void computeObservation();
   void recordHistoryForTiled(TransformKind Kind,
@@ -94,20 +101,17 @@ private:
   void advanceToNextOp();
   /// The single commit gate for agent actions: trial-applies \p T to a
   /// copy of the transform state, runs the post-transform checks on the
-  /// candidate schedule (when enabled), and only then commits to both
-  /// the machine and the transaction state. Returns false on the
+  /// candidate schedule, and only then commits to both the machine and
+  /// the transaction state. Returns false on the
   /// engine's routine rejections (silent wasted step, as before) and on
   /// check failures (penalized no-op, robustness counter bumped).
   bool applyTransform(const Transformation &T, int Producer = -1);
-  /// The current fusion candidate: the last producer feeding the fused
-  /// group, fusable and exclusively consumed by the group. -1 if none.
-  int findProducerCandidate() const;
   unsigned effectiveLoops() const;
   std::vector<int64_t> tileSizesFromAction(const AgentAction &Action) const;
   double measuredModuleTime();
   /// Fused producers of the operation currently being optimized.
   const std::vector<unsigned> &currentFusedProducers() const;
-  /// Cached static feature prefix of op \p OpIdx (incremental path).
+  /// Cached static feature prefix of op \p OpIdx.
   const std::vector<double> &staticFeatures(unsigned OpIdx);
   /// Consumer features of the current op under the current history
   /// (cached; recomputed only when the history version moved).
@@ -135,9 +139,9 @@ private:
   /// (the step's reward is then docked by Config.CheckFailurePenalty).
   bool CheckFailedThisStep = false;
 
-  // Feature caches (incremental path). HistoryVersion moves on every
-  // history mutation and on op advance; the consumer cache is keyed by
-  // (op, version) so untouched steps reuse the full vector.
+  // Feature caches. HistoryVersion moves on every history mutation and
+  // on op advance; the consumer cache is keyed by (op, version) so
+  // untouched steps reuse the full vector.
   std::vector<std::vector<double>> StaticFeat;
   std::vector<std::vector<double>> ProducerFeat;
   std::vector<double> ConsumerFeat;

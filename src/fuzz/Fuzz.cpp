@@ -356,7 +356,7 @@ void mlirrl::fuzzOneEpisode(const Module &M, uint64_t EpisodeSeed,
   ++Stats.Episodes;
   Rng R(EpisodeSeed);
 
-  // Draw the configuration: every ablation axis, checks always on.
+  // Draw the configuration: every ablation axis.
   EnvConfig Config = EnvConfig::laptop();
   Config.ActionSpace = R.nextBernoulli(0.5) ? ActionSpaceMode::MultiDiscrete
                                             : ActionSpaceMode::Flat;
@@ -364,8 +364,6 @@ void mlirrl::fuzzOneEpisode(const Module &M, uint64_t EpisodeSeed,
                                             : InterchangeMode::Enumerated;
   Config.Reward =
       R.nextBernoulli(0.75) ? RewardMode::Final : RewardMode::Immediate;
-  Config.Incremental = R.nextBernoulli(0.5);
-  Config.PostTransformChecks = true;
 
   auto Fail = [&](const std::string &Msg) {
     Stats.Violations.push_back(FuzzViolation{

@@ -80,10 +80,9 @@ std::optional<Module> fuzzOneInput(const std::string &Input, Evaluator &Eval,
 
 /// Drives one random-action episode over \p M under a randomly drawn
 /// environment configuration (action space, interchange mode, reward
-/// mode, incremental on/off; post-transform checks always on). Asserts
-/// after every step: finite reward, verifyScheduleState clean; at the
-/// end: episode terminated, speedup finite and positive, stepping the
-/// finished episode stays inert.
+/// mode). Asserts after every step: finite reward, verifyScheduleState
+/// clean; at the end: episode terminated, speedup finite and positive,
+/// stepping the finished episode stays inert.
 void fuzzOneEpisode(const Module &M, uint64_t EpisodeSeed, Evaluator &Eval,
                     unsigned MaxSteps, FuzzStats &Stats);
 

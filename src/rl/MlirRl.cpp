@@ -23,7 +23,7 @@ MlirRl::MlirRl(MlirRlOptions Options)
       // The memo is only sound over a deterministic inner evaluator:
       // with noise on, every entry would freeze one draw, so the
       // trainer falls back to the bare Runner.
-      Memo(Options.MemoizeEvaluations && !Options.Runner.Noise
+      Memo(!Options.Runner.Noise
                ? std::make_unique<CachingEvaluator>(Run, Options.MemoCapacity,
                                                     Options.MemoShards)
                : nullptr),

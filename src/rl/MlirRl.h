@@ -40,15 +40,8 @@ struct MlirRlOptions {
   /// either way.
   InferenceDtype Inference = InferenceDtype::F64;
 
-  /// Memoize prices in one lock-striped CachingEvaluator wrapped around
-  /// the Runner and shared by every collector thread and VecEnv group
-  /// (the whole-program and per-op tables of perf/Evaluator.h). On by
-  /// default; automatically disabled when Runner.Noise is set, since
-  /// caching a noisy measurement would freeze one draw forever. Values
-  /// are deterministic, so training trajectories are bitwise-identical
-  /// with the memo on or off (DeterminismMatrixTest sweeps both).
-  bool MemoizeEvaluations = true;
-  /// Total entry budget of each shared memo table.
+  /// Total entry budget of each table of the shared memo (see
+  /// MlirRl::memo()).
   size_t MemoCapacity = 1u << 12;
   /// Lock stripes per table (rounded up to a power of two; 1 = the
   /// global-lock baseline).
@@ -80,10 +73,16 @@ public:
   const MlirRlOptions &options() const { return Options; }
 
   /// The evaluator the trainer measures through: the shared striped
-  /// CachingEvaluator when memoization is active, else the Runner.
+  /// CachingEvaluator, or the Runner when noise is on.
   Evaluator &evaluator() { return Memo ? static_cast<Evaluator &>(*Memo)
                                        : static_cast<Evaluator &>(Run); }
-  /// The shared memo (nullptr when memoization is off or noise is on).
+  /// The shared memo: one lock-striped CachingEvaluator wrapped around
+  /// the Runner and shared by every collector thread and VecEnv group
+  /// (the whole-program and per-op tables of perf/Evaluator.h). nullptr
+  /// when Runner.Noise is set, since caching a noisy measurement would
+  /// freeze one draw forever. Values are deterministic, so training
+  /// over the memo is bitwise-identical to training over the bare
+  /// Runner (DeterminismMatrixTest compares both).
   CachingEvaluator *memo() { return Memo.get(); }
 
 private:

@@ -21,8 +21,10 @@
 /// per-episode ScheduleState transaction layer: each action re-prices
 /// and re-featurizes only the op nests it dirtied, which is what keeps
 /// Immediate-mode reward O(1) per action instead of O(module). The
-/// incremental path is bitwise-identical to the from-scratch oracle
-/// (tests/rl/DeterminismMatrixTest sweeps the pair).
+/// incremental prices and features are bitwise-identical to the
+/// from-scratch references, Evaluator::timeModule and
+/// Featurizer::featurize (tests/env/IncrementalEquivalenceTest compares
+/// them).
 ///
 //===----------------------------------------------------------------------===//
 

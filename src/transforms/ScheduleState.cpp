@@ -138,10 +138,6 @@ const LoopNest &ScheduleState::getNest(unsigned OpIdx) {
   return Slot.Nest;
 }
 
-std::vector<LoopNest> ScheduleState::materializeAll() const {
-  return materializeModule(*M, Sched);
-}
-
 uint64_t ScheduleState::structHash(unsigned OpIdx) {
   OpSlot &Slot = Slots[OpIdx];
   if (!Slot.StructValid) {

@@ -68,9 +68,9 @@ public:
 
   const Module &getModule() const { return *M; }
 
-  /// The schedule assembled so far. Identical, entry for entry, to the
-  /// ModuleSchedule the non-incremental path would have built from the
-  /// same apply() sequence.
+  /// The schedule assembled so far: the plain ModuleSchedule the
+  /// apply() sequence describes, so materializeModule(getModule(),
+  /// getSchedule()) is the from-scratch oracle for the cached nests.
   const ModuleSchedule &getSchedule() const { return Sched; }
 
   /// Ops with a standalone nest (not fused away), ascending. The
@@ -80,11 +80,6 @@ public:
   /// The materialized nest of live op \p OpIdx. Cached; re-materialized
   /// only after an apply() dirtied the op.
   const LoopNest &getNest(unsigned OpIdx);
-
-  /// From-scratch materialization of every live op, in liveOps() order
-  /// (the materializeModule oracle; bypasses and does not touch the
-  /// per-op caches).
-  std::vector<LoopNest> materializeAll() const;
 
   /// (structural x schedule) memo key of live op \p OpIdx: folds the
   /// op's structural hash, the structural hashes of its fused producers
@@ -98,7 +93,7 @@ public:
   double getPrice(unsigned OpIdx) const { return Slots[OpIdx].PriceSeconds; }
   void setPrice(unsigned OpIdx, double Seconds);
 
-  /// Lifetime tallies (for benches and the CI smoke check).
+  /// Lifetime tallies (for benches and tests).
   struct Counters {
     uint64_t Applies = 0;
     /// Nests materialized, including each op's first. A fully incremental

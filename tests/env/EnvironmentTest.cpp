@@ -341,29 +341,34 @@ TEST_F(EnvFixture, MalformedFlatActionWastesStep) {
     Env.step(simple(TransformKind::NoTransformation));
 }
 
-TEST_F(EnvFixture, CheckedEpisodeMatchesUncheckedBitwise) {
-  // PostTransformChecks never fires on legal actions, so the whole
-  // trajectory -- rewards included -- must be bitwise identical with
-  // the pass on and off.
+TEST_F(EnvFixture, LegalScriptPassesChecksWithOraclePrices) {
+  // The post-transform checks never fire on legal actions, so the whole
+  // trajectory -- every immediate reward included -- is the one the
+  // from-scratch oracle prices, and no check failure is recorded.
   std::vector<AgentAction> Script = {
       tiled(TransformKind::TiledParallelization, {4, 4, 0}),
       tiled(TransformKind::Tiling, {0, 0, 5}),
       simple(TransformKind::Vectorization),
   };
-  std::vector<double> Rewards[2];
-  for (int Checked = 0; Checked < 2; ++Checked) {
-    EnvConfig C = Config;
-    C.PostTransformChecks = Checked == 1;
-    Module M = makeMatmulModule(128, 256, 192);
-    Environment Env(C, Run, M);
-    for (const AgentAction &A : Script)
-      if (!Env.isDone())
-        Rewards[Checked].push_back(Env.step(A).Reward);
+  Config.Reward = RewardMode::Immediate;
+  Module M = makeMatmulModule(128, 256, 192);
+  Environment Env(Config, Run, M);
+  Runner Oracle(Machine);
+  double Previous = Oracle.timeBaseline(M);
+  uint64_t FailuresBefore =
+      robustnessCounter(RobustnessEvent::PostTransformCheckFailed)
+          .Misses.load();
+  for (size_t I = 0; I < Script.size(); ++I) {
+    ASSERT_FALSE(Env.isDone()) << "step " << I;
+    double Reward = Env.step(Script[I]).Reward;
+    double Now = Oracle.timeModule(M, Env.getSchedule());
+    EXPECT_EQ(Reward, std::log(Previous / Now)) << "step " << I;
+    Previous = Now;
   }
-  ASSERT_EQ(Rewards[0].size(), Rewards[1].size());
-  for (size_t I = 0; I < Rewards[0].size(); ++I) {
-    EXPECT_EQ(Rewards[0][I], Rewards[1][I]) << "step " << I;
-  }
+  EXPECT_TRUE(Env.isDone());
+  EXPECT_EQ(robustnessCounter(RobustnessEvent::PostTransformCheckFailed)
+                .Misses.load(),
+            FailuresBefore);
 }
 
 TEST_F(EnvFixture, StateVerifiesAfterEveryScriptedStep) {

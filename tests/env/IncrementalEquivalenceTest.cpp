@@ -1,23 +1,26 @@
 //===- IncrementalEquivalenceTest.cpp - incremental == from-scratch ---------===//
 //
 // The property behind the ScheduleState transaction layer, checked
-// mechanically over every dataset generator: an environment stepping
-// incrementally (dirty-op pricing, delta featurization -- the default)
-// is bitwise-indistinguishable from one recomputing everything from
-// scratch. Two environments run in lockstep on identical randomized
-// masked action sequences; at every step the observations (consumer,
-// producer, all masks), rewards, done flags and measurement accounting
-// must match exactly, and at the end the schedules and speedups must
-// too. Both reward modes are swept -- Immediate is the mode whose every
-// step prices the module, so it is where stale caches would surface.
+// mechanically over every dataset generator: the environment's
+// incremental pricing (dirty-op re-pricing) and delta featurization are
+// bitwise-indistinguishable from the from-scratch references kept in
+// src/. Episodes run on randomized masked action sequences; after every
+// step each price the environment measured equals Runner::timeModule
+// on its schedule, and the observation's consumer and producer vectors
+// equal Featurizer::featurize on the current op and history. At the end
+// the speedup equals timeBaseline / timeModule. Both reward modes are
+// swept -- Immediate is the mode whose every step prices the module, so
+// it is where stale caches would surface.
 //
 //===----------------------------------------------------------------------===//
 
 #include "datasets/Dataset.h"
 #include "datasets/Models.h"
+#include "datasets/Sequences.h"
 #include "env/Environment.h"
 #include "perf/Runner.h"
 #include "support/Rng.h"
+#include "support/Stats.h"
 
 #include <gtest/gtest.h>
 
@@ -94,96 +97,150 @@ void expectSameVector(const std::vector<double> &A,
     ASSERT_EQ(A[I], B[I]) << What << "[" << I << "] at step " << Step;
 }
 
-void expectSameObservation(const Observation &A, const Observation &B,
-                           unsigned Step) {
-  expectSameVector(A.Consumer, B.Consumer, "Consumer", Step);
-  expectSameVector(A.Producer, B.Producer, "Producer", Step);
-  expectSameVector(A.TransformMask, B.TransformMask, "TransformMask", Step);
-  expectSameVector(A.InterchangeMask, B.InterchangeMask, "InterchangeMask",
-                   Step);
-  expectSameVector(A.FlatMask, B.FlatMask, "FlatMask", Step);
-  ASSERT_EQ(A.InPointerSequence, B.InPointerSequence) << "step " << Step;
-  ASSERT_EQ(A.NumLoops, B.NumLoops) << "step " << Step;
+/// The observation's feature vectors against from-scratch featurize()
+/// on the current op and history (the producer candidate with an empty
+/// history, or zeros when there is none).
+void expectFeaturesMatchOracle(const Environment &Env, unsigned Step) {
+  const Featurizer &Feat = Env.getFeaturizer();
+  const Module &M = Env.getModule();
+  const Observation &Obs = Env.observe();
+  expectSameVector(
+      Obs.Consumer,
+      Feat.featurize(M, M.getOp(Env.getCurrentOp()), Env.getHistory()),
+      "Consumer", Step);
+  int Producer = Env.findProducerCandidate();
+  expectSameVector(Obs.Producer,
+                   Producer >= 0 ? Feat.featurize(M, M.getOp(Producer),
+                                                  ActionHistory())
+                                 : Feat.zeroVector(),
+                   "Producer", Step);
 }
 
 class IncrementalEquivalenceFixture
     : public ::testing::TestWithParam<Corpus> {};
 
-/// The lockstep sweep itself, over any (thread-safe, deterministic)
-/// evaluator: both environments of each pair measure through \p Eval,
-/// and \p Oracle cross-checks the final schedules from scratch.
-void runLockstepSweep(const Corpus &Param, Evaluator &Eval,
-                      Runner &Oracle) {
+/// The sweep itself, over any (thread-safe, deterministic) evaluator:
+/// the environment measures through \p Eval, and \p Oracle prices every
+/// measured schedule from scratch.
+void runOracleSweep(const Corpus &Param, Evaluator &Eval, Runner &Oracle) {
   std::vector<Module> Corpus = Param.Build();
   ASSERT_FALSE(Corpus.empty());
 
-  EnvConfig Incremental = EnvConfig::laptop();
-  Incremental.Reward = Param.Reward;
-  Incremental.Incremental = true;
-  EnvConfig FromScratch = Incremental;
-  FromScratch.Incremental = false;
+  EnvConfig Config = EnvConfig::laptop();
+  Config.Reward = Param.Reward;
 
   uint64_t Seed = 0x1234;
+  unsigned Measured = 0;
   for (const Module &M : Corpus) {
-    Environment Inc(Incremental, Eval, M);
-    Environment Ref(FromScratch, Eval, M);
-    Rng IncRng(Seed), RefRng(Seed);
-    ++Seed;
+    Environment Env(Config, Eval, M);
+    Rng R(Seed++);
+    const double Baseline = Oracle.timeBaseline(M);
+    ASSERT_EQ(Env.getMeasurementSeconds(), Baseline) << M.getName();
 
     unsigned Step = 0;
-    expectSameObservation(Inc.observe(), Ref.observe(), Step);
-    while (!Inc.isDone()) {
-      ASSERT_FALSE(Ref.isDone()) << M.getName();
-      AgentAction A =
-          randomMaskedAction(Inc.observe(), Incremental, IncRng);
-      AgentAction B =
-          randomMaskedAction(Ref.observe(), FromScratch, RefRng);
-      Environment::StepOutcome OutA = Inc.step(A);
-      Environment::StepOutcome OutB = Ref.step(B);
+    expectFeaturesMatchOracle(Env, Step);
+    while (!Env.isDone()) {
+      double Before = Env.getMeasurementSeconds();
+      Env.step(randomMaskedAction(Env.observe(), Config, R));
       ++Step;
-      ASSERT_EQ(OutA.Reward, OutB.Reward)
-          << M.getName() << " reward at step " << Step;
-      ASSERT_EQ(OutA.Done, OutB.Done) << M.getName() << " step " << Step;
-      expectSameObservation(Inc.observe(), Ref.observe(), Step);
+      // A step that priced the module added exactly that price to the
+      // accounting; it must be the from-scratch price of the schedule
+      // the step left behind.
+      if (Env.getMeasurementSeconds() != Before) {
+        ++Measured;
+        ASSERT_EQ(Env.getMeasurementSeconds(),
+                  Before + Oracle.timeModule(M, Env.getSchedule()))
+            << M.getName() << " price at step " << Step;
+      }
+      if (!Env.isDone())
+        expectFeaturesMatchOracle(Env, Step);
       ASSERT_LT(Step, 10000u) << "runaway episode";
     }
-    ASSERT_TRUE(Ref.isDone());
-
-    // End-of-episode artifacts: schedule, prices, accounting.
-    EXPECT_EQ(Inc.getSchedule().toString(), Ref.getSchedule().toString())
-        << M.getName();
-    EXPECT_EQ(Inc.currentSpeedup(), Ref.currentSpeedup()) << M.getName();
-    EXPECT_EQ(Inc.getMeasurementSeconds(), Ref.getMeasurementSeconds())
-        << M.getName();
-    // The incremental price of the final schedule equals pricing the
-    // same schedule from scratch through the module-level oracle.
-    EXPECT_EQ(Oracle.timeModule(M, Inc.getSchedule()),
-              Oracle.timeModule(M, Ref.getSchedule()))
+    EXPECT_EQ(Env.currentSpeedup(),
+              Baseline / Oracle.timeModule(M, Env.getSchedule()))
         << M.getName();
   }
+  // Final mode prices at the end of an episode; Immediate after every
+  // effective step.
+  EXPECT_GT(Measured, 0u);
 }
 
 } // namespace
 
-TEST_P(IncrementalEquivalenceFixture, LockstepEpisodesMatchBitwise) {
+TEST_P(IncrementalEquivalenceFixture, EpisodesMatchOracleBitwise) {
   Runner Eval(MachineModel::xeonE5_2680v4());
-  runLockstepSweep(GetParam(), Eval, Eval);
+  runOracleSweep(GetParam(), Eval, Eval);
 }
 
 TEST_P(IncrementalEquivalenceFixture,
-       LockstepEpisodesMatchThroughSharedStripedMemo) {
-  // The same sweep with both environments pricing through one shared
-  // lock-striped CachingEvaluator: the incremental path answers from
-  // the per-op memo, the from-scratch path from the whole-program memo,
-  // and hit-vs-miss must never change a returned price. A fresh oracle
-  // (outside the memo) cross-checks the final schedules.
+       EpisodesMatchOracleThroughSharedStripedMemo) {
+  // The same sweep with the environment pricing through a shared
+  // lock-striped CachingEvaluator: the baseline answers from the
+  // whole-program memo, every step from the per-op memo, and hit-vs-miss
+  // must never change a returned price. A fresh oracle (outside the
+  // memo) prices the same schedules.
   Runner Inner(MachineModel::xeonE5_2680v4());
   CachingEvaluator Shared(Inner, /*Capacity=*/1u << 12, /*Shards=*/8);
   Runner Oracle(MachineModel::xeonE5_2680v4());
-  runLockstepSweep(GetParam(), Shared, Oracle);
+  runOracleSweep(GetParam(), Shared, Oracle);
   // The sweep actually exercised both memo tables.
   EXPECT_GT(Shared.getOpCounters().total(), 0u);
   EXPECT_GT(Shared.getCounters().total(), 0u);
+}
+
+TEST(IncrementalFastPath, ImmediateEpisodesReuseCachedWork) {
+  // The incremental path must not silently regress to from-scratch
+  // behavior while staying bitwise-correct: Immediate-reward episodes
+  // over a multi-op module through a memoizing evaluator must hit the
+  // per-op memo, reuse clean ops' cached prices, and materialize far
+  // fewer nests than ops x steps.
+  EnvConfig Config = EnvConfig::laptop();
+  Config.Reward = RewardMode::Immediate;
+  Runner Model(MachineModel::xeonE5_2680v4());
+  CachingEvaluator Eval(Model);
+
+  Rng ModuleRng(5);
+  Module M = generateOperatorSequence(ModuleRng);
+  while (M.getNumOps() < 3)
+    M = generateOperatorSequence(ModuleRng);
+
+  CacheStatsRegistry::CategoryStats ReuseBefore =
+      CacheStatsRegistry::instance().categoryStats("state.price_reuse");
+  uint64_t Steps = 0, Materialized = 0;
+  ModuleSchedule LastSchedule;
+  for (unsigned E = 0; E < 3; ++E) {
+    Environment Env(Config, Eval, M);
+    Rng ActionRng(Rng::deriveSeed(99, E));
+    while (!Env.isDone()) {
+      Env.step(randomMaskedAction(Env.observe(), Config, ActionRng));
+      ++Steps;
+    }
+    Materialized += Env.getState().counters().NestMaterializations;
+    LastSchedule = Env.getSchedule();
+  }
+  CacheStatsRegistry::CategoryStats ReuseAfter =
+      CacheStatsRegistry::instance().categoryStats("state.price_reuse");
+
+  EXPECT_GT(Eval.getOpCounters().total(), 0u) << "op memo consulted";
+  EXPECT_GT(Eval.getOpCounters().Hits.load(), 0u) << "op memo hit";
+  EXPECT_GT(ReuseAfter.Hits, ReuseBefore.Hits) << "clean-op prices reused";
+  EXPECT_LT(Materialized, Steps * M.getNumOps());
+
+  // The incremental price of the last schedule, replayed into a fresh
+  // transaction state, equals the from-scratch price bitwise.
+  Runner Oracle(MachineModel::xeonE5_2680v4());
+  ScheduleState Replay(M);
+  for (const auto &[OpIdx, OpSched] : LastSchedule.OpSchedules) {
+    unsigned Fused = 0;
+    for (const Transformation &T : OpSched.Transforms) {
+      int Producer = -1;
+      if (T.Kind == TransformKind::TiledFusion &&
+          Fused < OpSched.FusedProducers.size())
+        Producer = static_cast<int>(OpSched.FusedProducers[Fused++]);
+      Replay.apply(OpIdx, T, Producer);
+    }
+  }
+  EXPECT_EQ(Oracle.timeState(Replay), Oracle.timeModule(M, LastSchedule));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -191,7 +248,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         Corpus{"DnnOperatorsFinal", dnnOperators, RewardMode::Final},
         Corpus{"DnnOperatorsImmediate", dnnOperators, RewardMode::Immediate},
+        Corpus{"ModelFinal", evaluationModel, RewardMode::Final},
         Corpus{"ModelImmediate", evaluationModel, RewardMode::Immediate},
+        Corpus{"LqcdFinal", lqcdKernels, RewardMode::Final},
         Corpus{"LqcdImmediate", lqcdKernels, RewardMode::Immediate},
         Corpus{"SequencesFinal", operatorSequences, RewardMode::Final},
         Corpus{"SequencesImmediate", operatorSequences,

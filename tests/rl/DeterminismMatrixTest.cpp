@@ -3,20 +3,21 @@
 // The repo's core invariant, checked systematically instead of
 // point-by-point: for a fixed seed, training is bitwise-identical
 // across every combination of vectorized-env batch width, collection
-// thread count, update thread count -- and, since the ScheduleState
-// layer landed, the incremental/from-scratch pricing axis. One
-// table-driven sweep over {BatchWidth 1, 2, 32} x {CollectThreads 1, 4}
-// x {UpdateThreads 1, 4} (incremental, the default) plus from-scratch
-// probes at the matrix corners compares full per-iteration histories
-// against the all-serial reference configuration.
+// thread count and update thread count. One table-driven sweep over
+// {BatchWidth 1, 2, 32} x {CollectThreads 1, 4} x {UpdateThreads 1, 4}
+// compares full per-iteration histories against the all-serial
+// reference configuration. (The environment's incremental pricing and
+// featurization are compared against their from-scratch references
+// directly, in tests/env/IncrementalEquivalenceTest.)
 //
 // Since the lock-striped shared memo landed, the matrix also sweeps
 // CollectThreads x memo shard counts {1, 4, 16, 64} plus memo-off
-// probes: every returned price is a deterministic function of its key,
-// so the shared striped CachingEvaluator must be trajectory-invisible
-// -- identical histories whether collectors share one global-lock
-// table, 64 stripes, or no memo at all, even though cache sharing and
-// eviction order differ run to run.
+// probes that train a PpoTrainer over the bare Runner: every returned
+// price is a deterministic function of its key, so the shared striped
+// CachingEvaluator must be trajectory-invisible -- identical histories
+// whether collectors share one global-lock table, 64 stripes, or no
+// memo at all, even though cache sharing and eviction order differ run
+// to run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,7 @@
 
 #include "TestUtil.h"
 #include "datasets/DnnOps.h"
+#include "env/Featurizer.h"
 
 #include <gtest/gtest.h>
 
@@ -39,9 +41,6 @@ struct MatrixCase {
   unsigned BatchWidth;
   unsigned CollectThreads;
   unsigned UpdateThreads;
-  /// False = the from-scratch pricing/featurization oracle; training
-  /// trajectories must be bitwise-identical to the incremental default.
-  bool Incremental = true;
   /// Stripes of the shared CachingEvaluator (1 = the global-lock
   /// single-mutex baseline). Ignored when Memoize is off.
   unsigned MemoShards = 16;
@@ -56,42 +55,45 @@ std::vector<MatrixCase> matrixCases() {
     for (unsigned Collect : {1u, 4u})
       for (unsigned Update : {1u, 4u})
         Cases.push_back({Width, Collect, Update});
-  // From-scratch probes at the matrix corners: the incremental layer
-  // must be trajectory-invisible at every parallelism shape.
-  Cases.push_back({1, 1, 1, /*Incremental=*/false});
-  Cases.push_back({32, 4, 4, /*Incremental=*/false});
   // CollectThreads x shard-count probes: one shared striped memo, from
   // the single-mutex baseline up to 64 stripes, serial and parallel.
   for (unsigned Shards : {1u, 4u, 64u}) {
-    Cases.push_back({2, 1, 1, true, Shards});
-    Cases.push_back({2, 4, 1, true, Shards});
+    Cases.push_back({2, 1, 1, Shards});
+    Cases.push_back({2, 4, 1, Shards});
   }
   // Memo-off probes: cached and uncached pricing must coincide bitwise.
-  Cases.push_back({1, 1, 1, true, 16, /*Memoize=*/false});
-  Cases.push_back({32, 4, 4, true, 16, /*Memoize=*/false});
+  Cases.push_back({1, 1, 1, 16, /*Memoize=*/false});
+  Cases.push_back({32, 4, 4, 16, /*Memoize=*/false});
   return Cases;
 }
 
 std::vector<PpoIterationStats> trainWith(const MatrixCase &Case) {
   MlirRlOptions O = MlirRlOptions::laptop();
   O.Net = tinyNet();
-  O.Env.Incremental = Case.Incremental;
   O.Ppo.SamplesPerIteration = 8;
   O.Ppo.BatchWidth = Case.BatchWidth;
   O.Ppo.CollectThreads = Case.CollectThreads;
   O.Ppo.UpdateThreads = Case.UpdateThreads;
-  O.MemoizeEvaluations = Case.Memoize;
   O.MemoShards = Case.MemoShards;
   O.Iterations = 2;
   O.Seed = 2025;
-  MlirRl Sys(O);
   std::vector<Module> Data = {makeMatmulModule(64, 64, 64),
                               makeReluModule({512, 128})};
-  return Sys.train(Data);
+  if (Case.Memoize)
+    return MlirRl(O).train(Data);
+
+  // No memo: the trainer prices through the bare Runner, built exactly
+  // as MlirRl builds its agent and trainer.
+  Runner Run(O.Machine, O.Runner);
+  ActorCritic Agent(O.Env, Featurizer(O.Env).featureSize(), O.Net, O.Seed);
+  PpoTrainer Trainer(Agent, Run, O.Ppo);
+  std::vector<PpoIterationStats> History;
+  for (unsigned I = 0; I < O.Iterations; ++I)
+    History.push_back(Trainer.trainIteration(Data));
+  return History;
 }
 
-/// The all-serial reference history (incremental, the default),
-/// computed once for the whole sweep.
+/// The all-serial reference history, computed once for the whole sweep.
 const std::vector<PpoIterationStats> &referenceHistory() {
   static const std::vector<PpoIterationStats> Reference =
       trainWith({1, 1, 1});
@@ -114,8 +116,7 @@ INSTANTIATE_TEST_SUITE_P(
       std::string Name =
           "Width" + std::to_string(Info.param.BatchWidth) + "Collect" +
           std::to_string(Info.param.CollectThreads) + "Update" +
-          std::to_string(Info.param.UpdateThreads) +
-          (Info.param.Incremental ? "" : "FromScratch");
+          std::to_string(Info.param.UpdateThreads);
       if (!Info.param.Memoize)
         Name += "NoMemo";
       else if (Info.param.MemoShards != 16)

@@ -144,7 +144,7 @@ TEST_F(ChainFixture, CleanScheduleStateVerifies) {
   ScheduleState State(M);
   State.apply(1, Transformation::tiledFusion({8, 0}), 0);
   State.apply(1, Transformation::vectorization());
-  State.materializeAll();
+  materializeModule(M, State.getSchedule());
   std::string Err;
   EXPECT_TRUE(verifyScheduleState(State, Err)) << Err;
 }
